@@ -169,12 +169,10 @@ int main(int argc, char** argv) {
     fail("no follower slot was served by a leader (merging is dead)");
   }
   std::printf("bit-identity: OK (%zu points, %zu merge sets, "
-              "%zu merged lane-slots, %zu splits, %llu journal hits)\n",
+              "%zu merged lane-slots, %zu splits)\n",
               points, batch_run.stats.batch_merge_sets,
               batch_run.stats.batch_merged_lane_slots,
-              batch_run.stats.batch_splits,
-              static_cast<unsigned long long>(
-                  batch_run.stats.batch_journal_hits));
+              batch_run.stats.batch_splits);
 
   // ---- Timing: min-of-N with warmup. ----------------------------------
   volatile double sink = 0.0;
@@ -236,8 +234,7 @@ int main(int argc, char** argv) {
        << "    \"sets\": " << bs.batch_merge_sets << ",\n"
        << "    \"merged_lane_slots\": " << bs.batch_merged_lane_slots
        << ",\n"
-       << "    \"splits\": " << bs.batch_splits << ",\n"
-       << "    \"journal_hits\": " << bs.batch_journal_hits << "\n"
+       << "    \"splits\": " << bs.batch_splits << "\n"
        << "  },\n"
        << "  \"timing\": {\n"
        << "    \"repeats\": " << repeats << ",\n"

@@ -27,7 +27,6 @@
 
 #include "audit/audit.hpp"
 #include "obs/context.hpp"
-#include "par/solve_cache.hpp"
 #include "par/sweep.hpp"
 #include "par/worker_pool.hpp"
 #include "sim/experiments.hpp"

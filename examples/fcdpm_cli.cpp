@@ -24,9 +24,13 @@
 // engage the journaling/retry/watchdog runner; without them the plain
 // deterministic engine runs untouched.
 //
+// Every command rejects an option it does not read, naming the option
+// and its argv position.
+//
 // Exit code 0 on success, 1 on CLI errors, 2 on runtime errors. A
 // quarantined grid point is *not* a sweep failure: the point is
 // reported with its typed error and the exit code stays 0.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -38,6 +42,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "audit/audit.hpp"
@@ -79,22 +84,33 @@ using namespace fcdpm;
 /// "--key value" / "--key=value" pairs after the subcommand.
 using Options = std::map<std::string, std::string>;
 
-Options parse_options(int argc, char** argv, int start) {
+/// Parse the options after the subcommand, rejecting any key not in
+/// `accepted` — a command must never silently ignore a flag (a typo, or
+/// one that another command reads) and run something other than asked.
+Options parse_options(int argc, char** argv, int start,
+                      const std::string& command,
+                      const std::vector<std::string_view>& accepted) {
   Options options;
   for (int k = start; k < argc; ++k) {
-    const std::string key = argv[k];
-    if (key.rfind("--", 0) != 0) {
-      throw std::runtime_error("expected --option, got: " + key);
+    const std::string arg = argv[k];
+    if (arg.rfind("--", 0) != 0) {
+      throw std::runtime_error("expected --option, got: " + arg);
     }
-    const std::size_t equals = key.find('=');
+    const std::size_t equals = arg.find('=');
+    const std::string key = arg.substr(
+        2, equals == std::string::npos ? std::string::npos : equals - 2);
+    if (std::find(accepted.begin(), accepted.end(), key) == accepted.end()) {
+      throw std::runtime_error(command + ": unknown option --" + key +
+                               " at argv[" + std::to_string(k) + "]");
+    }
     if (equals != std::string::npos) {
-      options[key.substr(2, equals - 2)] = key.substr(equals + 1);
+      options[key] = arg.substr(equals + 1);
       continue;
     }
     if (k + 1 >= argc) {
-      throw std::runtime_error("dangling option: " + key);
+      throw std::runtime_error("dangling option: " + arg);
     }
-    options[key.substr(2)] = argv[++k];
+    options[key] = argv[++k];
   }
   return options;
 }
@@ -502,8 +518,6 @@ class TelemetrySession {
     t.done = snap.done;
     t.retried = snap.retried;
     t.quarantined = snap.quarantined;
-    t.cache_hits = snap.cache_hits;
-    t.cache_misses = snap.cache_misses;
     t.hot_dispatches = snap.hot_dispatches;
     t.reference_dispatches = snap.reference_dispatches;
     t.batched_dispatches = snap.batched_dispatches;
@@ -525,8 +539,6 @@ class TelemetrySession {
       row.done = w.done;
       row.retried = w.retried;
       row.quarantined = w.quarantined;
-      row.cache_hits = w.cache_hits;
-      row.cache_misses = w.cache_misses;
       row.hot_dispatches = w.hot_dispatches;
       row.reference_dispatches = w.reference_dispatches;
       row.batched_dispatches = w.batched_dispatches;
@@ -1132,8 +1144,7 @@ par::SweepGrid parse_sweep_grid(const Options& options) {
 /// flags. Quarantined points are reported, not fatal: exit code 0.
 int cmd_sweep_resilient(const sim::ExperimentConfig& config,
                         const par::SweepGrid& grid, const Options& options,
-                        ObsSession& obs, std::size_t jobs,
-                        const par::SolveCacheConfig& cache_config) {
+                        ObsSession& obs, std::size_t jobs) {
   resilience::ResilienceOptions ropt;
   ropt.contract.max_retries =
       static_cast<std::size_t>(number_or(options, "max-retries", 2.0));
@@ -1168,8 +1179,6 @@ int cmd_sweep_resilient(const sim::ExperimentConfig& config,
   ropt.watchdog_stall = std::chrono::milliseconds(static_cast<long long>(
       number_or(options, "watchdog-stall-ms", 0.0)));
   ropt.jobs = jobs;
-  par::SharedSolveCache cache(cache_config);
-  ropt.cache = &cache;
   ropt.observer = obs.context();
 
   TelemetrySession tel(options, jobs, grid.points(config).size(),
@@ -1246,9 +1255,6 @@ int cmd_sweep_resilient(const sim::ExperimentConfig& config,
   bench.jobs = sweep.stats.jobs;
   bench.wall_seconds = sweep.stats.wall_seconds;
   bench.points_per_second = sweep.stats.points_per_second();
-  bench.cache_hits = sweep.stats.cache_hits;
-  bench.cache_misses = sweep.stats.cache_misses;
-  bench.cache_hit_rate = sweep.stats.cache_hit_rate();
   for (const resilience::ResilientPoint& p : sweep.points) {
     report::SweepPointRow row =
         make_point_row(p.result.point, p.result.result);
@@ -1284,11 +1290,9 @@ int cmd_sweep_resilient(const sim::ExperimentConfig& config,
   bench.resilience.cap_enabled = config.cap.enabled;
   bench.resilience.capped_ok = rs.capped_ok;
 
-  std::printf(
-      "%zu points at %zu jobs: %.3f s wall (%.1f points/s), "
-      "solve-cache hit rate %.1f %%\n",
-      bench.points, bench.jobs, bench.wall_seconds,
-      bench.points_per_second, 100.0 * bench.cache_hit_rate);
+  std::printf("%zu points at %zu jobs: %.3f s wall (%.1f points/s)\n",
+              bench.points, bench.jobs, bench.wall_seconds,
+              bench.points_per_second);
   std::printf(
       "resilience: %zu scheduled | %zu replayed | %zu retries | "
       "%zu quarantined | %zu rounds | %zu spot-checks | %zu stalls\n",
@@ -1339,13 +1343,6 @@ int cmd_sweep(const Options& options) {
 
   const auto jobs =
       static_cast<std::size_t>(number_or(options, "jobs", 1.0));
-  // One knob covers all three quanta; 0 (default) keeps the cache
-  // transparent (exact keys, results bit-identical to cache-free runs).
-  const double quantum = number_or(options, "cache-quantum", 0.0);
-  par::SolveCacheConfig cache_config;
-  cache_config.time_quantum = Seconds(quantum);
-  cache_config.current_quantum = Ampere(quantum);
-  cache_config.charge_quantum = Coulomb(quantum);
 
   ObsSession obs(options);
 
@@ -1356,21 +1353,16 @@ int cmd_sweep(const Options& options) {
         "watchdog-stall-ms", "spot-checks", "inject-fail",
         "unserved-budget"}) {
     if (options.find(flag) != options.end()) {
-      return cmd_sweep_resilient(config, grid, options, obs, jobs,
-                                 cache_config);
+      return cmd_sweep_resilient(config, grid, options, obs, jobs);
     }
   }
 
-  // Single-job reference first (own cache, same config): it provides
-  // the speedup baseline and the bit-identity check.
+  // Single-job reference first (same config): it provides the speedup
+  // baseline and the bit-identity check.
   par::SweepResult serial;
   bool have_serial = false;
   if (jobs != 1 && option_or(options, "serial-check", "on") != "off") {
-    par::SharedSolveCache serial_cache(cache_config);
-    par::SweepOptions serial_options;
-    serial_options.jobs = 1;
-    serial_options.cache = &serial_cache;
-    serial = par::run_sweep(config, grid, serial_options);
+    serial = par::run_sweep(config, grid);
     have_serial = true;
   }
 
@@ -1379,10 +1371,8 @@ int cmd_sweep(const Options& options) {
   TelemetrySession tel(options, jobs, grid.points(config).size(),
                        !option_or(options, "trace-out", "").empty());
 
-  par::SharedSolveCache cache(cache_config);
   par::SweepOptions sweep_options;
   sweep_options.jobs = jobs;
-  sweep_options.cache = &cache;
   sweep_options.observer = obs.context();
   sweep_options.telemetry = tel.telemetry();
   const par::SweepResult sweep = par::run_sweep(config, grid, sweep_options);
@@ -1431,25 +1421,19 @@ int cmd_sweep(const Options& options) {
   bench.jobs = sweep.stats.jobs;
   bench.wall_seconds = sweep.stats.wall_seconds;
   bench.points_per_second = sweep.stats.points_per_second();
-  bench.cache_hits = sweep.stats.cache_hits;
-  bench.cache_misses = sweep.stats.cache_misses;
-  bench.cache_hit_rate = sweep.stats.cache_hit_rate();
   bench.batched_points = sweep.stats.points_batched;
   bench.batch_merge_sets = sweep.stats.batch_merge_sets;
   bench.batch_merged_lane_slots = sweep.stats.batch_merged_lane_slots;
   bench.batch_splits = sweep.stats.batch_splits;
-  bench.batch_journal_hits = sweep.stats.batch_journal_hits;
   for (const par::SweepPointResult& p : sweep.points) {
     bench.results.push_back(make_point_row(p.point, p.result));
     accumulate_cap(bench, p.result);
     accumulate_stacks(bench, p.result);
     accumulate_audit(bench, p.result);
   }
-  std::printf(
-      "%zu points at %zu jobs: %.3f s wall (%.1f points/s), "
-      "solve-cache hit rate %.1f %%\n",
-      bench.points, bench.jobs, bench.wall_seconds,
-      bench.points_per_second, 100.0 * bench.cache_hit_rate);
+  std::printf("%zu points at %zu jobs: %.3f s wall (%.1f points/s)\n",
+              bench.points, bench.jobs, bench.wall_seconds,
+              bench.points_per_second);
   if (bench.cap_enabled) {
     std::printf("power cap: %zu/%zu points throttled | %llu capped slots | "
                 "%llu budget violations | %.1f J deferred\n",
@@ -1467,10 +1451,9 @@ int cmd_sweep(const Options& options) {
   }
   if (bench.batched_points > 0) {
     std::printf("batched: %zu/%zu points | %zu merge sets | %zu merged "
-                "lane-slots | %zu splits | %llu journal hits\n",
+                "lane-slots | %zu splits\n",
                 bench.batched_points, bench.points, bench.batch_merge_sets,
-                bench.batch_merged_lane_slots, bench.batch_splits,
-                static_cast<unsigned long long>(bench.batch_journal_hits));
+                bench.batch_merged_lane_slots, bench.batch_splits);
   }
   print_audit_rollup(bench);
 
@@ -1597,7 +1580,7 @@ int usage() {
       "           [--stacks N1,N2,...]  stack-count axis (0 = the\n"
       "                                 single-stack base source)\n"
       "           [--distributions proportional,waterfill,health]\n"
-      "           [--cache-quantum Q] [--out BENCH_sweep.json]\n"
+      "           [--out BENCH_sweep.json]\n"
       "           [--serial-check on|off] [--trace f.csv | --kind ...]\n"
       "           (--jobs 0 = all cores; with --jobs != 1 a --jobs 1\n"
       "           reference runs first for speedup and bit-identity)\n"
@@ -1671,10 +1654,9 @@ int usage() {
       "                        runtime invariant auditing (default off;\n"
       "                        results stay bit-identical): fuel-burn\n"
       "                        integral reconciliation, storage bounds,\n"
-      "                        cap budget, stack wear, solve-cache\n"
-      "                        spot checks. A hot-engine violation\n"
-      "                        self-heals: the run replays on the\n"
-      "                        reference engine and records an\n"
+      "                        cap budget, stack wear. A hot-engine\n"
+      "                        violation self-heals: the run replays on\n"
+      "                        the reference engine and records an\n"
       "                        engine_fallback\n"
       "  --audit-sample-period N\n"
       "                        sample mode checks every Nth slot (16)\n"
@@ -1682,6 +1664,51 @@ int usage() {
       "                        integral at slot K on the hot lane\n"
       "                        (exercises the self-heal path)\n");
   return 1;
+}
+
+/// A subcommand and every option it reads: load_workload's keys for
+/// all, build_config's for the simulating commands, ObsSession's where
+/// the command owns one, plus the command's own.
+struct Command {
+  const char* name;
+  int (*run)(const Options&);
+  std::vector<std::string_view> options;
+};
+
+std::vector<Command> commands() {
+  const std::vector<std::string_view> workload = {"trace", "kind", "seed"};
+  const auto with = [&](std::initializer_list<std::vector<std::string_view>>
+                            groups) {
+    std::vector<std::string_view> keys = workload;
+    for (const std::vector<std::string_view>& group : groups) {
+      keys.insert(keys.end(), group.begin(), group.end());
+    }
+    return keys;
+  };
+  const std::vector<std::string_view> config = {
+      "rho", "sigma", "capacity", "initial", "engine", "faults", "cap",
+      "cap-table", "cap-hysteresis", "cap-draw-fraction", "audit",
+      "audit-sample-period", "audit-tamper-slot", "stacks", "stacks-config",
+      "distribution", "stack-charge-fade", "stack-cycle-fade"};
+  const std::vector<std::string_view> obs = {"trace-out", "metrics-out",
+                                             "profile-out"};
+  const std::vector<std::string_view> sweep = {
+      "jobs", "policies", "rhos", "capacities", "storm-seeds",
+      "storm-faults", "distributions", "out", "serial-check", "journal",
+      "resume", "max-retries", "point-deadline", "watchdog-stall-ms",
+      "spot-checks", "inject-fail", "unserved-budget", "progress",
+      "progress-out", "progress-interval-ms"};
+  return {
+      {"gen", cmd_gen, with({{"out"}})},
+      {"analyze", cmd_analyze, with({})},
+      {"run", cmd_run, with({config, obs, {"policy"}})},
+      {"compare", cmd_compare, with({config, obs})},
+      {"lifetime", cmd_lifetime, with({config, obs, {"policy", "tank"}})},
+      {"sweep", cmd_sweep, with({config, obs, sweep})},
+      {"bisect", cmd_bisect,
+       with({config, {"policy", "perturb-slot", "repro-out"}})},
+      {"aggregate", cmd_aggregate, with({{"out", "defer"}})},
+  };
 }
 
 }  // namespace
@@ -1695,30 +1722,10 @@ int main(int argc, char** argv) {
     if (command == "merge") {
       return cmd_merge(argc, argv);  // positional arguments
     }
-    const Options options = parse_options(argc, argv, 2);
-    if (command == "gen") {
-      return cmd_gen(options);
-    }
-    if (command == "analyze") {
-      return cmd_analyze(options);
-    }
-    if (command == "run") {
-      return cmd_run(options);
-    }
-    if (command == "compare") {
-      return cmd_compare(options);
-    }
-    if (command == "lifetime") {
-      return cmd_lifetime(options);
-    }
-    if (command == "sweep") {
-      return cmd_sweep(options);
-    }
-    if (command == "bisect") {
-      return cmd_bisect(options);
-    }
-    if (command == "aggregate") {
-      return cmd_aggregate(options);
+    for (const Command& c : commands()) {
+      if (command == c.name) {
+        return c.run(parse_options(argc, argv, 2, command, c.options));
+      }
     }
     std::fprintf(stderr, "unknown command: %s\n", command.c_str());
     return usage();

@@ -54,9 +54,6 @@ Auditor::Auditor(const AuditSpec& spec, bool fail_fast)
   if (spec_.sample_period == 0) {
     spec_.sample_period = 1;
   }
-  if (spec_.cache_check_period == 0) {
-    spec_.cache_check_period = 1;
-  }
   sample_is_pow2_ =
       (spec_.sample_period & (spec_.sample_period - 1)) == 0;
   sample_mask_ = spec_.sample_period - 1;
@@ -136,7 +133,6 @@ void Auditor::on_segment(const SegmentAudit& view) {
 }
 
 void Auditor::on_slot(const SlotAudit& view) {
-  next_slot_ = view.slot + 1;
   const double segment_fuel = slot_segment_fuel_;
   const bool had_segments = saw_segments_;
   slot_segment_fuel_ = 0.0;
@@ -257,11 +253,6 @@ void Auditor::on_run_end(const EndAudit& view) {
   }
 }
 
-void Auditor::record_cache_mismatch() {
-  violation(&AuditStats::cache_violations, next_slot_, "cache_fresh",
-            "cached solve does not bit-match a fresh solve");
-}
-
 void record_engine_fallback(AuditStats& into, const AuditStats& hot_run) {
   into.engine_fallbacks += 1 + hot_run.engine_fallbacks;
   into.violations += hot_run.violations;
@@ -269,7 +260,6 @@ void record_engine_fallback(AuditStats& into, const AuditStats& hot_run) {
   into.storage_violations += hot_run.storage_violations;
   into.cap_violations += hot_run.cap_violations;
   into.stacks_violations += hot_run.stacks_violations;
-  into.cache_violations += hot_run.cache_violations;
   if (into.first_violation.empty() && !hot_run.first_violation.empty()) {
     into.first_violation = hot_run.first_violation;
     into.first_violation_slot = hot_run.first_violation_slot;

@@ -13,9 +13,7 @@
 //     1-ulp overshoot the accumulation legitimately produces);
 //   * the cap governor's budget is never exceeded;
 //   * multi-stack distribution reconciles with the hybrid totals and
-//     wear stays within [0, 1];
-//   * solve-cache hits match a fresh solve (sampled, via
-//     par::VerifyingSolveCache).
+//     wear stays within [0, 1].
 //
 // The auditor never mutates simulation state: results are bit-identical
 // with auditing on or off. Modes: `sample` checks every Nth slot,
@@ -61,12 +59,6 @@ struct AuditSpec {
   Mode mode = Mode::Off;
   /// Sample mode audits slots k with k % sample_period == 0.
   std::size_t sample_period = 16;
-  /// Cache spot-checks re-solve every `cache_check_period`-th solve
-  /// call fresh and bit-compare. Sparser than slot sampling because a
-  /// fresh solve costs orders of magnitude more than the slot checks:
-  /// at 128 the re-solves stay inside the sample-audit 2 % overhead
-  /// budget that perf_tracing_overhead enforces.
-  std::size_t cache_check_period = 128;
   /// Test hook: at this slot the auditor corrupts its *observed* copy
   /// of the delivered-charge integral before checking it, emulating a
   /// broken engine on an otherwise healthy run. Dispatchers apply it
@@ -101,7 +93,6 @@ struct AuditStats {
   std::uint64_t storage_violations = 0;
   std::uint64_t cap_violations = 0;
   std::uint64_t stacks_violations = 0;
-  std::uint64_t cache_violations = 0;
   /// Hot-engine runs replayed on the reference engine after a
   /// violation (recorded by the dispatcher, not the auditor).
   std::uint64_t engine_fallbacks = 0;
@@ -188,13 +179,8 @@ class Auditor {
   /// Both loops: one completed slot.
   void on_slot(const SlotAudit& view);
 
-  /// Both loops: run end. Also the hook for the solve-cache verifier's
-  /// mismatch count (reported through record_cache_mismatch).
+  /// Both loops: run end.
   void on_run_end(const EndAudit& view);
-
-  /// Called by par::VerifyingSolveCache when a sampled cache hit does
-  /// not bit-match a fresh solve.
-  void record_cache_mismatch();
 
   [[nodiscard]] const AuditStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const AuditSpec& spec() const noexcept { return spec_; }
@@ -215,8 +201,6 @@ class Auditor {
   double slot_segment_fuel_ = 0.0;
   std::uint64_t slot_segment_count_ = 0;
   bool saw_segments_ = false;
-  /// One past the last slot seen — the run-end checks' slot label.
-  std::size_t next_slot_ = 0;
 };
 
 /// Fold a failed hot-lane audit into the replayed run's stats: carries

@@ -1,13 +1,11 @@
 #include "batch/engine.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "batch/solve_memo.hpp"
 #include "batch/state.hpp"
 #include "common/contracts.hpp"
 #include "hot/engine.hpp"
@@ -52,23 +50,16 @@ struct Lane {
   std::size_t col = 0;  ///< BatchState column
   Kind kind = Kind::Generic;
   bool pure = false;
-  core::SlotSolveCache* original_cache = nullptr;
   int set = -1;        ///< merge set id; -1 = solo
   bool merged = false; ///< follower currently riding its leader
   bool done = false;
   LaneOutcome out;
 };
 
-/// A leader plus the followers still riding it, with the per-slot
-/// solve journal they share.
+/// A leader plus the followers still riding it.
 struct MergeSet {
   std::size_t leader = 0;
   std::vector<std::size_t> followers;
-  BatchSolveMemo memo;
-  core::SlotSolveCache* underlying = nullptr;
-
-  explicit MergeSet(core::SlotSolveCache* cache)
-      : memo(cache), underlying(cache) {}
 };
 
 class BatchRunner {
@@ -76,11 +67,10 @@ class BatchRunner {
   BatchRunner(const hot::CompiledTrace& ct, dpm::DpmPolicy& dpm_policy,
               const std::vector<BatchLaneSpec>& specs,
               const sim::SimulationOptions& shared,
-              core::SlotSolveCache* cache, BatchStats* stats, bool propagate)
+              BatchStats* stats, bool propagate)
       : ct_(ct),
         dpm_(dpm_policy),
         shared_(shared),
-        cache_(cache),
         stats_(stats),
         propagate_(propagate) {
     const dpm::DevicePowerModel& device = dpm_policy.device();
@@ -98,7 +88,6 @@ class BatchRunner {
     predictive_ = dynamic_cast<const dpm::PredictiveDpmPolicy*>(&dpm_policy);
     init_lanes(specs);
     form_sets();
-    wire_caches();
     if (shared.keep_slot_records) {
       records_.reserve(ct.size());
     }
@@ -110,11 +99,8 @@ class BatchRunner {
   ~BatchRunner() {
     // Every exit path — including thrown cancellation, budget and audit
     // errors — leaves each hybrid exactly as its own reference run
-    // would have, and each policy with its original cache attachment.
+    // would have.
     state_.write_back_all();
-    for (auto& [fc, cache] : saved_caches_) {
-      fc->set_solve_cache(cache);
-    }
   }
 
   std::vector<LaneOutcome> run() {
@@ -179,7 +165,6 @@ class BatchRunner {
       lane.col = state_.add_lane(hybrid, *source, *cap);
       lane.kind = kind_of(*spec.fc);
       lane.pure = spec.fc->segment_setpoint_is_pure();
-      lane.original_cache = spec.fc->solve_cache();
       lane.out.result.trace_name = ct_.trace().name();
       lane.out.result.dpm_policy = dpm_.name();
       lane.out.result.fc_policy = spec.fc->name();
@@ -190,10 +175,9 @@ class BatchRunner {
   }
 
   /// Group pure solo lanes that are bitwise identical in everything but
-  /// capacity (and share the same pre-attached cache, which becomes the
-  /// journal-miss fallback). `merge_equivalent` certifies the policies
-  /// make bit-identical decisions forever given identical observations
-  /// and read the capacity only through clamp-reporting solves; the
+  /// capacity. `merge_equivalent` certifies the policies make
+  /// bit-identical decisions forever given identical observations and
+  /// read the capacity only through clamp-reporting solves; the
   /// physical columns must match too. The smallest capacity leads: the
   /// slack property then makes every unclamped leader answer valid for
   /// all followers, and a capacity clamp hands leadership to the
@@ -201,10 +185,8 @@ class BatchRunner {
   ///
   /// Called once at construction and again after any slot with splits,
   /// so ex-leaders that happen to re-converge can regroup. New sets are
-  /// appended (`sets_` is a deque, so live `&set.memo` wirings stay
-  /// valid) and take effect from the next slot.
+  /// appended and take effect from the next slot.
   void form_sets() {
-    const std::size_t first_new = sets_.size();
     std::vector<bool> assigned(lanes_.size(), false);
     for (std::size_t i = 0; i < lanes_.size(); ++i) {
       if (assigned[i] || !lanes_[i].pure || lanes_[i].done ||
@@ -218,7 +200,6 @@ class BatchRunner {
           continue;
         }
         if (lanes_[i].fc->merge_equivalent(*lanes_[j].fc) &&
-            lanes_[i].original_cache == lanes_[j].original_cache &&
             state_.physically_identical(lanes_[i].col, lanes_[j].col)) {
           group.push_back(j);
         }
@@ -233,10 +214,7 @@ class BatchRunner {
           leader = m;
         }
       }
-      core::SlotSolveCache* underlying =
-          cache_ != nullptr ? cache_ : lanes_[leader].original_cache;
-      sets_.emplace_back(underlying);
-      MergeSet& set = sets_.back();
+      MergeSet& set = sets_.emplace_back();
       set.leader = leader;
       const int id = static_cast<int>(sets_.size()) - 1;
       lanes_[leader].set = id;
@@ -248,29 +226,6 @@ class BatchRunner {
         set.followers.push_back(m);
         lanes_[m].set = id;
         lanes_[m].merged = true;
-      }
-    }
-    // Point every new leader's policy at the set's journal. Followers
-    // freeze — their policies never run while merged — so only the
-    // leader is wired. At construction wire_caches repeats this
-    // (harmlessly) while also recording the restore list; on re-forms
-    // this is the only wiring.
-    for (std::size_t s = first_new; s < sets_.size(); ++s) {
-      lanes_[sets_[s].leader].fc->set_solve_cache(&sets_[s].memo);
-    }
-  }
-
-  void wire_caches() {
-    saved_caches_.reserve(lanes_.size());
-    for (Lane& lane : lanes_) {
-      saved_caches_.emplace_back(lane.fc, lane.original_cache);
-      if (lane.set >= 0) {
-        if (!lane.merged) {
-          lane.fc->set_solve_cache(
-              &sets_[static_cast<std::size_t>(lane.set)].memo);
-        }
-      } else if (cache_ != nullptr) {
-        lane.fc->set_solve_cache(cache_);
       }
     }
   }
@@ -541,13 +496,13 @@ class BatchRunner {
   /// ways, and both are handled by handing leadership to the
   /// next-smallest capacity:
   ///
-  ///  * plan clamp — a journaled solve inside on_idle_start /
-  ///    on_active_start was capacity-shaped. The plan is the leader's
-  ///    alone: it finishes the slot solo with it, and the successor —
-  ///    seated from a clone of the leader taken *before* it advances —
-  ///    re-plans at its own larger capacity (the planning callbacks
-  ///    fully overwrite the plan state they compute, so re-running one
-  ///    on the clone equals having planned fresh).
+  ///  * plan clamp — a solve inside on_idle_start / on_active_start
+  ///    was capacity-shaped or failed (the policy's clamp flag). The
+  ///    plan is the leader's alone: it finishes the slot solo with it,
+  ///    and the successor — seated from a clone of the leader taken
+  ///    *before* it advances — re-plans at its own larger capacity (the
+  ///    planning callbacks fully overwrite the plan state they compute,
+  ///    so re-running one on the clone equals having planned fresh).
   ///
   ///  * integration clamp — the plan was clean but the leader's buffer
   ///    filled while integrating it. The plan is bitwise every member's
@@ -567,8 +522,6 @@ class BatchRunner {
     const Coulomb fuel_before = snap0.totals.fuel;
     const Joule delivered_before = snap0.totals.delivered_energy;
 
-    set.memo.begin_slot();
-
     // --- idle phase ----------------------------------------------------
     const bool have_idle = plan_.count > 0;
     core::SegmentSetpoint sp_idle{};
@@ -576,13 +529,14 @@ class BatchRunner {
     bool replan = true;
     for (;;) {
       if (replan) {
-        set.memo.set_recording(true);
-        static_cast<Fc*>(lanes_[li].fc)
-            ->on_idle_start(idle_context(k, lanes_[li].col, Coulomb(snap0.q)));
-        set.memo.set_recording(false);
-        if (set.memo.take_clamped() && !set.followers.empty()) {
+        Fc& fc = *static_cast<Fc*>(lanes_[li].fc);
+        // Only the leader's own plan counts: drop anything a catch-up
+        // replay raised earlier.
+        (void)fc.take_solve_clamped();
+        fc.on_idle_start(idle_context(k, lanes_[li].col, Coulomb(snap0.q)));
+        if (fc.take_solve_clamped() && !set.followers.empty()) {
           const std::size_t next = seat(set, snap0);
-          leader_exit_whole<Fc>(set, li, snap0, k);
+          leader_exit_whole<Fc>(li, snap0, k);
           li = next;
           continue;
         }
@@ -594,8 +548,7 @@ class BatchRunner {
           idle_probe.storage_charge = Coulomb(snap0.q);
           idle_probe.storage_capacity =
               Coulomb(state_.capacity(lanes_[li].col));
-          sp_idle =
-              static_cast<Fc*>(lanes_[li].fc)->segment_setpoint(idle_probe);
+          sp_idle = fc.segment_setpoint(idle_probe);
           // stop_charging_when_full alone is NOT capacity-sensitive:
           // the integration below marks sensitivity only when the
           // leader's full-buffer cutoff actually binds (leader = min
@@ -615,7 +568,7 @@ class BatchRunner {
         break;
       }
       const std::size_t next = seat(set, snap0);
-      leader_exit_from_idle<Fc>(set, li, accumulated, snap0, k);
+      leader_exit_from_idle<Fc>(li, accumulated, snap0, k);
       li = next;
       replan = false;  // plan unclamped, hence bitwise the successor's own
     }
@@ -627,14 +580,13 @@ class BatchRunner {
     replan = true;
     for (;;) {
       if (replan) {
-        set.memo.set_recording(true);
-        static_cast<Fc*>(lanes_[li].fc)
-            ->on_active_start(
-                active_context(k, lanes_[li].col, Coulomb(snap_mid.q)));
-        set.memo.set_recording(false);
-        if (set.memo.take_clamped() && !set.followers.empty()) {
+        Fc& fc = *static_cast<Fc*>(lanes_[li].fc);
+        (void)fc.take_solve_clamped();
+        fc.on_active_start(
+            active_context(k, lanes_[li].col, Coulomb(snap_mid.q)));
+        if (fc.take_solve_clamped() && !set.followers.empty()) {
           const std::size_t next = seat(set, snap_mid);
-          leader_exit_active_whole<Fc>(set, li, if_dt_idle, snap0, k);
+          leader_exit_active_whole<Fc>(li, if_dt_idle, snap0, k);
           li = next;
           continue;
         }
@@ -645,8 +597,7 @@ class BatchRunner {
         active_probe.storage_charge = Coulomb(snap_mid.q);
         active_probe.storage_capacity =
             Coulomb(state_.capacity(lanes_[li].col));
-        sp_active =
-            static_cast<Fc*>(lanes_[li].fc)->segment_setpoint(active_probe);
+        sp_active = fc.segment_setpoint(active_probe);
       }
       Coulomb accumulated{0.0};
       bool integration_sensitive = false;
@@ -657,7 +608,7 @@ class BatchRunner {
         break;
       }
       const std::size_t next = seat(set, snap_mid);
-      leader_exit_from_active<Fc>(set, li, if_dt_idle + accumulated, snap0, k);
+      leader_exit_from_active<Fc>(li, if_dt_idle + accumulated, snap0, k);
       li = next;
       replan = false;
     }
@@ -721,23 +672,20 @@ class BatchRunner {
   /// Hand `lane` a live policy: an owned clone of `src`, bitwise the
   /// state the lane's frozen caller policy would have reached (the
   /// caller's object stays at its merge-time state; results and hybrid
-  /// state are the observable surface of a run). clone() carries no
-  /// cache or observer wiring — the caller wires the cache next.
+  /// state are the observable surface of a run).
   void materialize(Lane& lane, const core::FcOutputPolicy& src) {
     lane.owned_fc = src.clone();
     lane.fc = lane.owned_fc.get();
   }
 
   /// Seat the hand-off successor as leader: clone the outgoing leader's
-  /// policy (before it advances any further), wire it to the journal,
-  /// and refresh the successor's column — stale since it merged — from
+  /// policy (before it advances any further) and refresh the successor's column — stale since it merged — from
   /// the phase checkpoint, which is bitwise its own state. The caller
   /// decides whether the phase needs a re-plan or only a re-integration.
   std::size_t seat(MergeSet& set, const BatchState::Snapshot& at) {
     const std::size_t next = handoff_successor(set);
     Lane& lane = lanes_[next];
     materialize(lane, *lanes_[set.leader].fc);
-    lane.fc->set_solve_cache(&set.memo);
     state_.restore(lane.col, at);
     lane.merged = false;
     set.followers.erase(
@@ -751,12 +699,12 @@ class BatchRunner {
   /// slot solo on its own column — active phase, epilogue, audit — with
   /// no restore and no replay.
   template <typename Fc>
-  void leader_exit_from_idle(MergeSet& set, std::size_t li, Coulomb if_dt_idle,
+  void leader_exit_from_idle(std::size_t li, Coulomb if_dt_idle,
                              const BatchState::Snapshot& snap0,
                              std::size_t k) {
     Lane& lane = lanes_[li];
     Fc& fc = *static_cast<Fc*>(lane.fc);
-    split_out(set, lane);
+    split_out(lane);
     const std::size_t col = lane.col;
 
     fc.on_active_start(active_context(k, col, state_.charge(col)));
@@ -779,21 +727,20 @@ class BatchRunner {
   /// Same hand-off at the active integration: the slot is already fully
   /// integrated on the leader's own column, so only the epilogue runs.
   template <typename Fc>
-  void leader_exit_from_active(MergeSet& set, std::size_t li, Coulomb if_dt,
+  void leader_exit_from_active(std::size_t li, Coulomb if_dt,
                                const BatchState::Snapshot& snap0,
                                std::size_t k) {
     Lane& lane = lanes_[li];
     Fc& fc = *static_cast<Fc*>(lane.fc);
-    split_out(set, lane);
+    split_out(lane);
     fc.on_slot_end(observation(k, lane.col, if_dt, snap0.totals.fuel));
     finish_replay_audit(lane, k, snap0, if_dt);
   }
 
-  /// Leave the set: own columns from here on, journal-miss cache wiring.
-  void split_out(MergeSet& set, Lane& lane) {
+  /// Leave the set: own columns from here on.
+  void split_out(Lane& lane) {
     lane.merged = false;
     lane.set = -1;
-    lane.fc->set_solve_cache(set.underlying);
     ++splits_;
     split_this_slot_ = true;
   }
@@ -803,11 +750,11 @@ class BatchRunner {
   /// own column (still at the slot-start state — nothing was integrated
   /// yet).
   template <typename Fc>
-  void leader_exit_whole(MergeSet& set, std::size_t li,
-                         const BatchState::Snapshot& snap0, std::size_t k) {
+  void leader_exit_whole(std::size_t li, const BatchState::Snapshot& snap0,
+                         std::size_t k) {
     Lane& lane = lanes_[li];
     Fc& fc = *static_cast<Fc*>(lane.fc);
-    split_out(set, lane);
+    split_out(lane);
     const std::size_t col = lane.col;
 
     Coulomb if_dt_idle{0.0};
@@ -844,13 +791,12 @@ class BatchRunner {
   /// finishes only the active suffix solo on its own column (already at
   /// the post-idle state).
   template <typename Fc>
-  void leader_exit_active_whole(MergeSet& set, std::size_t li,
-                                Coulomb if_dt_idle,
+  void leader_exit_active_whole(std::size_t li, Coulomb if_dt_idle,
                                 const BatchState::Snapshot& snap0,
                                 std::size_t k) {
     Lane& lane = lanes_[li];
     Fc& fc = *static_cast<Fc*>(lane.fc);
-    split_out(set, lane);
+    split_out(lane);
     const std::size_t col = lane.col;
 
     core::SegmentContext context;
@@ -895,7 +841,6 @@ class BatchRunner {
       materialize(follower, *leader.fc);
       follower.merged = false;
       follower.set = -1;
-      follower.fc->set_solve_cache(set.underlying);
       split_this_slot_ = true;
     }
     set.followers.clear();
@@ -904,9 +849,7 @@ class BatchRunner {
 
   /// The last follower left: the leader runs solo from the next slot.
   void demote(MergeSet& set) {
-    Lane& leader = lanes_[set.leader];
-    leader.set = -1;
-    leader.fc->set_solve_cache(set.underlying);
+    lanes_[set.leader].set = -1;
   }
 
   // --- lane endings ----------------------------------------------------
@@ -952,7 +895,6 @@ class BatchRunner {
     const std::size_t next = handoff_successor(set);
     state_.adopt(lanes_[next].col, lanes_[set.leader].col);
     materialize(lanes_[next], *lanes_[set.leader].fc);
-    lanes_[next].fc->set_solve_cache(&set.memo);
     lanes_[next].merged = false;
     set.followers.erase(
         std::find(set.followers.begin(), set.followers.end(), next));
@@ -1035,15 +977,11 @@ class BatchRunner {
     stats_->merge_sets += sets_.size();
     stats_->merged_lane_slots += merged_lane_slots_;
     stats_->splits += splits_;
-    for (const MergeSet& set : sets_) {
-      stats_->journal_hits += set.memo.journal_hits();
-    }
   }
 
   const hot::CompiledTrace& ct_;
   dpm::DpmPolicy& dpm_;
   const sim::SimulationOptions& shared_;
-  core::SlotSolveCache* cache_ = nullptr;
   BatchStats* stats_ = nullptr;
   bool propagate_ = false;
 
@@ -1054,11 +992,7 @@ class BatchRunner {
 
   BatchState state_;
   std::vector<Lane> lanes_;
-  /// Deque, not vector: re-forms append while policies hold `&set.memo`
-  /// pointers into existing elements, which must survive the growth.
-  std::deque<MergeSet> sets_;
-  std::vector<std::pair<core::FcOutputPolicy*, core::SlotSolveCache*>>
-      saved_caches_;
+  std::vector<MergeSet> sets_;
   std::vector<std::size_t> solo_buf_;
   std::vector<sim::SlotRecord> records_;
 
@@ -1082,10 +1016,8 @@ std::vector<LaneOutcome> run_batch_impl(const hot::CompiledTrace& trace,
                                         dpm::DpmPolicy& dpm_policy,
                                         const std::vector<BatchLaneSpec>& lanes,
                                         const sim::SimulationOptions& shared,
-                                        core::SlotSolveCache* solve_cache,
                                         BatchStats* stats, bool propagate) {
-  BatchRunner runner(trace, dpm_policy, lanes, shared, solve_cache, stats,
-                     propagate);
+  BatchRunner runner(trace, dpm_policy, lanes, shared, stats, propagate);
   return runner.run();
 }
 
@@ -1114,9 +1046,8 @@ std::vector<LaneOutcome> run_batch(const hot::CompiledTrace& trace,
                                    dpm::DpmPolicy& dpm_policy,
                                    const std::vector<BatchLaneSpec>& lanes,
                                    const sim::SimulationOptions& shared,
-                                   core::SlotSolveCache* solve_cache,
                                    BatchStats* stats) {
-  return run_batch_impl(trace, dpm_policy, lanes, shared, solve_cache, stats,
+  return run_batch_impl(trace, dpm_policy, lanes, shared, stats,
                         /*propagate=*/false);
 }
 
@@ -1134,7 +1065,7 @@ sim::SimulationResult simulate(const hot::CompiledTrace& trace,
   lanes[0].auditor = options.auditor;
   lanes[0].slot_budget = options.slot_budget;
   std::vector<LaneOutcome> outcomes = run_batch_impl(
-      trace, dpm_policy, lanes, options, nullptr, nullptr, /*propagate=*/true);
+      trace, dpm_policy, lanes, options, nullptr, /*propagate=*/true);
   return std::move(outcomes[0].result);
 }
 

@@ -26,7 +26,6 @@
 
 #include "audit/audit.hpp"
 #include "core/fc_policy.hpp"
-#include "core/solve_cache.hpp"
 #include "dpm/dpm_policy.hpp"
 #include "hot/compiled_trace.hpp"
 #include "power/hybrid.hpp"
@@ -35,9 +34,7 @@
 namespace fcdpm::batch {
 
 /// One point's wiring within a batch. The policies and hybrid are the
-/// caller's (par builds them per point exactly as run_point would); the
-/// engine wires solve caches for the duration of the run and restores
-/// the previous attachment on return.
+/// caller's (par builds them per point exactly as run_point would).
 struct BatchLaneSpec {
   core::FcOutputPolicy* fc = nullptr;
   power::HybridPowerSource* hybrid = nullptr;
@@ -71,8 +68,6 @@ struct BatchStats {
   std::size_t merged_lane_slots = 0;
   /// Followers that diverged and replayed onto their own columns.
   std::size_t splits = 0;
-  /// Follower solves answered from the per-slot leader journal.
-  std::size_t journal_hits = 0;
 };
 
 /// True when (hybrid, options) can take the batch loop: hot-lane
@@ -93,15 +88,10 @@ struct BatchStats {
 /// keep_slot_records only with a single lane. Callers that cannot
 /// guarantee eligibility go through batch::simulate or par::run_sweep,
 /// which fall back per point.
-///
-/// `solve_cache` (optional) is attached to unmerged lanes and serves as
-/// the journal-miss fallback for merged ones — pass the sweep's shared
-/// memo tap to get run_point's exact cache wiring.
 [[nodiscard]] std::vector<LaneOutcome> run_batch(
     const hot::CompiledTrace& trace, dpm::DpmPolicy& dpm_policy,
     const std::vector<BatchLaneSpec>& lanes,
-    const sim::SimulationOptions& shared,
-    core::SlotSolveCache* solve_cache = nullptr, BatchStats* stats = nullptr);
+    const sim::SimulationOptions& shared, BatchStats* stats = nullptr);
 
 /// Single-run entry for Engine::Batched: a B = 1 batch when eligible,
 /// else hot::simulate (which itself falls back to the reference loop).

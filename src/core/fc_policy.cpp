@@ -302,7 +302,7 @@ void FcDpmPolicy::on_idle_start(const IdleContext& context) {
                     SolveStatus::InvalidInput);
     }
   } else {
-    const CheckedSetting checked = cached_solve(optimizer_, load, storage);
+    const CheckedSetting checked = solve_checked(optimizer_, load, storage);
     if (checked.ok()) {
       if_idle_ = checked.setting.if_idle;
       if_active_ = checked.setting.if_active;
@@ -370,7 +370,7 @@ void FcDpmPolicy::on_active_start(const ActiveContext& context) {
                     SolveStatus::InvalidInput);
     }
   } else {
-    const CheckedSetting checked = cached_solve_active_only(
+    const CheckedSetting checked = solve_active_only_checked(
         optimizer_, context.active_duration, charge, storage);
     if (checked.ok()) {
       if_active_ = checked.setting.if_active;
@@ -441,7 +441,7 @@ bool FcDpmPolicy::merge_equivalent(
     return false;
   }
   // A quantized policy solves through the level search, which reads the
-  // capacity without reporting capacity_clamped — the merge journal
+  // capacity without reporting capacity_clamped — the clamp flag
   // cannot certify its answers. An adaptive policy re-fits its model
   // from telemetry; the states stay equal in lock-step, but comparing
   // the RLS internals is not worth the coupling. Both stay solo.
@@ -519,7 +519,7 @@ void OracleFcPolicy::on_idle_start(const IdleContext& context) {
     note_reprojection(obs_, fault_stats_);
   }
 
-  const CheckedSetting checked = cached_solve(optimizer_, load, storage);
+  const CheckedSetting checked = solve_checked(optimizer_, load, storage);
   if (checked.ok()) {
     if_idle_ = checked.setting.if_idle;
     if_active_ = checked.setting.if_active;
@@ -548,7 +548,7 @@ void OracleFcPolicy::on_active_start(const ActiveContext& context) {
   if (reproject_bounds(storage)) {
     note_reprojection(obs_, fault_stats_);
   }
-  const CheckedSetting checked = cached_solve_active_only(
+  const CheckedSetting checked = solve_active_only_checked(
       optimizer_, context.active_duration, charge, storage);
   if (checked.ok()) {
     if_active_ = checked.setting.if_active;

@@ -27,7 +27,6 @@
 #include "core/efficiency_estimator.hpp"
 #include "core/quantized_optimizer.hpp"
 #include "core/slot_optimizer.hpp"
-#include "core/solve_cache.hpp"
 #include "dpm/power_states.hpp"
 #include "dpm/predictors.hpp"
 #include "obs/context.hpp"
@@ -169,40 +168,45 @@ class FcOutputPolicy {
     return fault_stats_;
   }
 
-  /// Attach (or detach with nullptr) a slot-solve memo: the solving
-  /// policies (FC-DPM, Oracle) then route their checked solves through
-  /// it. Not owned; like the observer, it is per-run wiring and is not
-  /// carried across clone().
-  void set_solve_cache(SlotSolveCache* cache) noexcept {
-    solve_cache_ = cache;
-  }
-  [[nodiscard]] SlotSolveCache* solve_cache() const noexcept {
-    return solve_cache_;
+  /// True when a checked solve since the last call returned a
+  /// capacity-clamped or failed answer — one the buffer capacity may
+  /// have shaped. The batch engine clears the flag before a merge-set
+  /// leader plans and reads it after, to hand the plan off instead of
+  /// sharing it with larger-capacity followers. Resets the flag.
+  [[nodiscard]] bool take_solve_clamped() noexcept {
+    const bool clamped = solve_clamped_;
+    solve_clamped_ = false;
+    return clamped;
   }
 
  protected:
-  /// Route a full-slot solve through the attached cache, if any.
-  [[nodiscard]] CheckedSetting cached_solve(
-      const SlotOptimizer& optimizer, const SlotLoad& load,
-      const StorageBounds& storage) const {
-    return solve_cache_ != nullptr
-               ? solve_cache_->solve(optimizer, load, storage)
-               : optimizer.solve_checked(load, storage);
+  /// Full-slot solve (the idle-start plan); raises the clamp flag.
+  [[nodiscard]] CheckedSetting solve_checked(const SlotOptimizer& optimizer,
+                                             const SlotLoad& load,
+                                             const StorageBounds& storage) {
+    return note_clamp(optimizer.solve_checked(load, storage));
   }
-  /// Route an active-only re-solve through the attached cache, if any.
-  [[nodiscard]] CheckedSetting cached_solve_active_only(
+  /// Active-phase-only re-solve (the active-start replan); raises the
+  /// clamp flag.
+  [[nodiscard]] CheckedSetting solve_active_only_checked(
       const SlotOptimizer& optimizer, Seconds duration, Coulomb charge,
-      const StorageBounds& storage) const {
-    return solve_cache_ != nullptr
-               ? solve_cache_->solve_active_only(optimizer, duration,
-                                                 charge, storage)
-               : optimizer.solve_active_only_checked(duration, charge,
-                                                     storage);
+      const StorageBounds& storage) {
+    return note_clamp(
+        optimizer.solve_active_only_checked(duration, charge, storage));
   }
 
   obs::Context* obs_ = nullptr;
   fault::RobustnessStats* fault_stats_ = nullptr;
-  SlotSolveCache* solve_cache_ = nullptr;
+
+ private:
+  CheckedSetting note_clamp(const CheckedSetting& answer) noexcept {
+    if (!answer.ok() || answer.setting.capacity_clamped) {
+      solve_clamped_ = true;
+    }
+    return answer;
+  }
+
+  bool solve_clamped_ = false;
 };
 
 /// Conv-DPM: IF pinned at max_output; no control at all.

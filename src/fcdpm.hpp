@@ -15,7 +15,7 @@
 //   dvs      — voltage/frequency scaling substrate
 //   audit    — runtime invariant auditing, divergence bisection (opt-in)
 //   sim      — simulators, experiments, lifetime, metrics
-//   par      — worker pool, shared solve cache, parallel sweep engine
+//   par      — worker pool, deterministic parallel sweep engine
 //   resilience — crash-safe journal/resume, retries, quarantine, watchdog
 //   report   — tables, series export, report assembly
 #pragma once
@@ -67,7 +67,6 @@
 #include "core/numerical_solver.hpp"
 #include "core/quantized_optimizer.hpp"
 #include "core/slot_optimizer.hpp"
-#include "core/solve_cache.hpp"
 
 #include "dvs/planner.hpp"
 #include "dvs/processor.hpp"
@@ -90,7 +89,6 @@
 #include "hot/polarization_table.hpp"
 
 #include "par/bounded_queue.hpp"
-#include "par/solve_cache.hpp"
 #include "par/sweep.hpp"
 #include "par/worker_pool.hpp"
 

@@ -13,7 +13,6 @@
 #include "fault/injector.hpp"
 #include "fault/schedule.hpp"
 #include "hot/engine.hpp"
-#include "par/verifying_cache.hpp"
 #include "par/worker_pool.hpp"
 #include "telemetry/sweep_telemetry.hpp"
 
@@ -66,7 +65,6 @@ std::vector<SweepPoint> SweepGrid::points(
 SweepPointResult run_point(const sim::ExperimentConfig& base,
                            const SweepPoint& point,
                            std::size_t storm_faults,
-                           core::SlotSolveCache* cache,
                            sim::CancellationToken* cancel,
                            std::size_t slot_budget,
                            const hot::CompiledTrace* compiled) {
@@ -83,19 +81,6 @@ SweepPointResult run_point(const sim::ExperimentConfig& base,
   // Workers own everything they mutate; the run-level observer is
   // published to after the batch, never attached to a worker's run.
   config.simulation.observer = nullptr;
-
-  // Fresh-solve source for audited cache verification. The memo itself
-  // qualifies, and so does the telemetry tap wrapping it; any other
-  // cache implementation simply runs unverified.
-  const SharedSolveCache* fresh_source = nullptr;
-  if (config.audit.enabled() && cache != nullptr) {
-    fresh_source = dynamic_cast<const SharedSolveCache*>(cache);
-    if (fresh_source == nullptr) {
-      if (const auto* tap = dynamic_cast<const SolveCacheTap*>(cache)) {
-        fresh_source = &tap->underlying();
-      }
-    }
-  }
 
   // Everything stateful — policies, hybrid, injector, governor, auditor
   // — is rebuilt per attempt, so the self-heal replay below starts from
@@ -158,8 +143,6 @@ SweepPointResult run_point(const sim::ExperimentConfig& base,
     // -engine defect, so it arms only on a hot or batched lane — and
     // never on the replay.
     std::optional<audit::Auditor> auditor;
-    std::optional<VerifyingSolveCache> verifier;
-    core::SlotSolveCache* point_cache = cache;
     if (config.audit.enabled()) {
       audit::AuditSpec spec = config.audit;
       if (!((ran_hot || batch_lane) && tamper_allowed)) {
@@ -168,13 +151,6 @@ SweepPointResult run_point(const sim::ExperimentConfig& base,
       auditor.emplace(spec, ran_hot || batch_lane ||
                                 spec.mode == audit::Mode::Strict);
       options.auditor = &*auditor;
-      if (fresh_source != nullptr) {
-        verifier.emplace(*cache, *fresh_source, *auditor);
-        point_cache = &*verifier;
-      }
-    }
-    if (point_cache != nullptr) {
-      fc_policy->set_solve_cache(point_cache);
     }
 
     try {
@@ -318,7 +294,6 @@ void run_batch_chunk(const sim::ExperimentConfig& base,
                      const std::vector<std::size_t>& chunk,
                      std::size_t storm_faults,
                      const hot::CompiledTrace& compiled,
-                     core::SlotSolveCache* cache,
                      std::vector<SweepPointResult>& results,
                      batch::BatchStats& stats) {
   sim::ExperimentConfig config = base;
@@ -351,8 +326,8 @@ void run_batch_chunk(const sim::ExperimentConfig& base,
     config.initial_storage = min(base.initial_storage, point.capacity);
     power::HybridPowerSource hybrid = sim::make_hybrid(config);
     if (!batch::lane_eligible(hybrid, options)) {
-      results[k] = run_point(base, point, storm_faults, cache, nullptr, 0,
-                             &compiled);
+      results[k] =
+          run_point(base, point, storm_faults, nullptr, 0, &compiled);
       continue;
     }
     hybrids.push_back(std::move(hybrid));
@@ -377,7 +352,7 @@ void run_batch_chunk(const sim::ExperimentConfig& base,
   }
 
   std::vector<batch::LaneOutcome> outcomes =
-      batch::run_batch(compiled, dpm_policy, lanes, options, cache, &stats);
+      batch::run_batch(compiled, dpm_policy, lanes, options, &stats);
 
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const std::size_t k = lane_point[i];
@@ -392,7 +367,7 @@ void run_batch_chunk(const sim::ExperimentConfig& base,
     // engine from fresh state, keeping the failed lane's tally.
     sim::ExperimentConfig ref = base;
     ref.simulation.engine = sim::Engine::Reference;
-    SweepPointResult healed = run_point(ref, points[k], storm_faults, cache);
+    SweepPointResult healed = run_point(ref, points[k], storm_faults);
     const audit::AuditStats failed =
         outcome.result.audit.value_or(audit::AuditStats{});
     if (!healed.result.audit.has_value()) {
@@ -413,11 +388,6 @@ SweepResult run_sweep(const sim::ExperimentConfig& base,
   SweepResult out;
   out.points.resize(points.size());
   out.stats.points = points.size();
-
-  const std::uint64_t hits_before =
-      options.cache != nullptr ? options.cache->hits() : 0;
-  const std::uint64_t misses_before =
-      options.cache != nullptr ? options.cache->misses() : 0;
 
   // Compile the trace once, up front, and share it read-only across all
   // workers (CompiledTrace is immutable after construction).
@@ -461,8 +431,12 @@ SweepResult run_sweep(const sim::ExperimentConfig& base,
     const std::size_t tasks = plan.chunks.size() + plan.singles.size();
 
     const auto run_single = [&](std::size_t k) {
-      out.points[k] = run_point(base, points[k], grid.storm_faults,
-                                options.cache, nullptr, 0, shared);
+      out.points[k] =
+          run_point(base, points[k], grid.storm_faults, nullptr, 0, shared);
+    };
+    const auto run_chunk = [&](std::size_t c) {
+      run_batch_chunk(base, points, plan.chunks[c], grid.storm_faults,
+                      *shared, out.points, chunk_stats[c]);
     };
     // Per-point shard accounting shared by the single-point task body
     // and the batched chunk body.
@@ -497,31 +471,12 @@ SweepResult run_sweep(const sim::ExperimentConfig& base,
     const auto run_single_telemetry = [&](std::size_t worker,
                                           std::size_t k) {
       telemetry::WorkerShard& shard = tel->shards().shard(worker);
-      // The tap attributes this point's cache traffic to this
-      // worker; it adds no caching, so results are unchanged.
-      std::optional<SolveCacheTap> tap;
-      if (options.cache != nullptr) {
-        tap.emplace(*options.cache);
-      }
       const std::uint64_t t0 = tel->now_ns();
-      out.points[k] = run_point(
-          base, points[k], grid.storm_faults,
-          tap.has_value() ? static_cast<core::SlotSolveCache*>(&*tap)
-                          : nullptr,
-          nullptr, 0, shared);
+      run_single(k);
       const std::uint64_t t1 = tel->now_ns();
 
       const SweepPointResult& done = out.points[k];
       shard.busy_ns.fetch_add(t1 - t0, std::memory_order_relaxed);
-      std::uint64_t point_hits = 0;
-      std::uint64_t point_misses = 0;
-      if (tap.has_value()) {
-        point_hits = tap->hits();
-        point_misses = tap->misses();
-        shard.cache_hits.fetch_add(point_hits, std::memory_order_relaxed);
-        shard.cache_misses.fetch_add(point_misses,
-                                     std::memory_order_relaxed);
-      }
       account_point(shard, done, static_cast<double>(t1 - t0) * 1e-3);
 
       if (telemetry::LaneRecorder* lanes = tel->lanes()) {
@@ -530,8 +485,6 @@ SweepResult run_sweep(const sim::ExperimentConfig& base,
         lane.end_ns = t1;
         lane.point_index = static_cast<std::uint32_t>(k);
         lane.attempt = 1;
-        lane.cache_hits = static_cast<std::uint32_t>(point_hits);
-        lane.cache_misses = static_cast<std::uint32_t>(point_misses);
         lane.ok = true;
         lane.hot = done.ran_hot;
         lanes->record(worker, lane);
@@ -541,28 +494,11 @@ SweepResult run_sweep(const sim::ExperimentConfig& base,
                                          std::size_t c) {
       const std::vector<std::size_t>& chunk = plan.chunks[c];
       telemetry::WorkerShard& shard = tel->shards().shard(worker);
-      std::optional<SolveCacheTap> tap;
-      if (options.cache != nullptr) {
-        tap.emplace(*options.cache);
-      }
       const std::uint64_t t0 = tel->now_ns();
-      run_batch_chunk(base, points, chunk, grid.storm_faults, *shared,
-                      tap.has_value()
-                          ? static_cast<core::SlotSolveCache*>(&*tap)
-                          : options.cache,
-                      out.points, chunk_stats[c]);
+      run_chunk(c);
       const std::uint64_t t1 = tel->now_ns();
 
       shard.busy_ns.fetch_add(t1 - t0, std::memory_order_relaxed);
-      std::uint64_t chunk_hits = 0;
-      std::uint64_t chunk_misses = 0;
-      if (tap.has_value()) {
-        chunk_hits = tap->hits();
-        chunk_misses = tap->misses();
-        shard.cache_hits.fetch_add(chunk_hits, std::memory_order_relaxed);
-        shard.cache_misses.fetch_add(chunk_misses,
-                                     std::memory_order_relaxed);
-      }
       // The slot loop advances all lanes together, so per-point wall
       // time is the chunk's share — the histogram keeps per-point
       // semantics without pretending to per-lane timers.
@@ -579,8 +515,6 @@ SweepResult run_sweep(const sim::ExperimentConfig& base,
         lane.end_ns = t1;
         lane.point_index = static_cast<std::uint32_t>(chunk.front());
         lane.attempt = 1;
-        lane.cache_hits = static_cast<std::uint32_t>(chunk_hits);
-        lane.cache_misses = static_cast<std::uint32_t>(chunk_misses);
         lane.ok = true;
         lane.hot = false;
         lanes->record(worker, lane);
@@ -590,9 +524,7 @@ SweepResult run_sweep(const sim::ExperimentConfig& base,
     if (tel == nullptr) {
       pool.run_indexed(tasks, [&](std::size_t t) {
         if (t < plan.chunks.size()) {
-          run_batch_chunk(base, points, plan.chunks[t], grid.storm_faults,
-                          *shared, options.cache, out.points,
-                          chunk_stats[t]);
+          run_chunk(t);
         } else {
           run_single(plan.singles[t - plan.chunks.size()]);
         }
@@ -614,7 +546,6 @@ SweepResult run_sweep(const sim::ExperimentConfig& base,
     out.stats.batch_merge_sets += s.merge_sets;
     out.stats.batch_merged_lane_slots += s.merged_lane_slots;
     out.stats.batch_splits += s.splits;
-    out.stats.batch_journal_hits += s.journal_hits;
   }
   for (const SweepPointResult& r : out.points) {
     if (r.ran_batched) {
@@ -626,19 +557,13 @@ SweepResult run_sweep(const sim::ExperimentConfig& base,
                                     started)
           .count();
 
-  if (options.cache != nullptr) {
-    out.stats.cache_hits = options.cache->hits() - hits_before;
-    out.stats.cache_misses = options.cache->misses() - misses_before;
-  }
-
   if (options.observer != nullptr) {
-    publish_sweep_stats(*options.observer, out.stats, options.cache);
+    publish_sweep_stats(*options.observer, out.stats);
   }
   return out;
 }
 
-void publish_sweep_stats(obs::Context& obs, const SweepRunStats& stats,
-                         const SharedSolveCache* cache) {
+void publish_sweep_stats(obs::Context& obs, const SweepRunStats& stats) {
   if (!obs.active()) {
     return;
   }
@@ -655,11 +580,6 @@ void publish_sweep_stats(obs::Context& obs, const SweepRunStats& stats,
               static_cast<double>(stats.batch_merged_lane_slots));
     obs.gauge("par.sweep.batch_splits",
               static_cast<double>(stats.batch_splits));
-    obs.gauge("par.sweep.batch_journal_hits",
-              static_cast<double>(stats.batch_journal_hits));
-  }
-  if (cache != nullptr) {
-    cache->publish(obs);
   }
 }
 

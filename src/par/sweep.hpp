@@ -3,9 +3,8 @@
 // A sweep grid (policy x rho x capacity x fault-storm seed) is fanned
 // across the worker pool; every worker builds its *own* policies,
 // hybrid source and fault injector for each point (nothing mutable is
-// shared between points except the solve cache, whose answers are
-// deterministic by construction), and stores its result at the point's
-// grid index. Results are therefore bit-identical for any job count —
+// shared between points), and stores its result at the point's grid
+// index. Results are therefore bit-identical for any job count —
 // `--jobs 8` must reproduce `--jobs 1` exactly, and the tests hold it
 // to that.
 #pragma once
@@ -15,7 +14,6 @@
 
 #include "hot/compiled_trace.hpp"
 #include "obs/context.hpp"
-#include "par/solve_cache.hpp"
 #include "sim/cancellation.hpp"
 #include "sim/experiments.hpp"
 
@@ -61,8 +59,6 @@ struct SweepGrid {
 struct SweepOptions {
   /// Worker threads; 0 = hardware concurrency.
   std::size_t jobs = 1;
-  /// Optional shared slot-solve memo (hit/miss counters accumulate).
-  SharedSolveCache* cache = nullptr;
   /// Post-run stats publication only — never attached to worker runs
   /// (obs::Context is not thread-safe).
   obs::Context* observer = nullptr;
@@ -90,28 +86,18 @@ struct SweepRunStats {
   std::size_t points = 0;
   std::size_t jobs = 1;
   double wall_seconds = 0.0;
-  /// Cache traffic attributable to this run (delta over the run).
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
   /// Points executed inside multi-point batch tasks (engine Batched).
   std::size_t points_batched = 0;
   /// Merge accounting aggregated over every batched task: sets formed,
-  /// follower-slots served by a leader, followers split back out, and
-  /// follower solves answered from a leader's per-slot journal.
+  /// follower-slots served by a leader, and followers split back out.
   std::size_t batch_merge_sets = 0;
   std::size_t batch_merged_lane_slots = 0;
   std::size_t batch_splits = 0;
-  std::uint64_t batch_journal_hits = 0;
 
   [[nodiscard]] double points_per_second() const noexcept {
     return wall_seconds > 0.0
                ? static_cast<double>(points) / wall_seconds
                : 0.0;
-  }
-  [[nodiscard]] double cache_hit_rate() const noexcept {
-    const double total =
-        static_cast<double>(cache_hits) + static_cast<double>(cache_misses);
-    return total > 0.0 ? static_cast<double>(cache_hits) / total : 0.0;
   }
 };
 
@@ -133,8 +119,7 @@ struct SweepResult {
 /// nullptr makes the point compile its own.
 [[nodiscard]] SweepPointResult run_point(
     const sim::ExperimentConfig& base, const SweepPoint& point,
-    std::size_t storm_faults, core::SlotSolveCache* cache,
-    sim::CancellationToken* cancel = nullptr, std::size_t slot_budget = 0,
+    std::size_t storm_faults, sim::CancellationToken* cancel = nullptr, std::size_t slot_budget = 0,
     const hot::CompiledTrace* compiled = nullptr);
 
 /// Fan the grid across `options.jobs` workers.
@@ -143,13 +128,9 @@ struct SweepResult {
                                     const SweepOptions& options = {});
 
 /// Publish the end-of-sweep gauges — par.sweep.{points,jobs,wall_s,
-/// points_per_s} plus, when a cache was attached, par.cache.* via
-/// SharedSolveCache::publish — in one place. Both run_sweep and the
-/// resilient runner call this exactly once at sweep end, so the
-/// par.cache.* gauges always equal the cache's own hits()/misses() at
-/// that instant (no ad hoc call sites drifting out of sync). No-op
-/// when the observer is inactive.
-void publish_sweep_stats(obs::Context& obs, const SweepRunStats& stats,
-                         const SharedSolveCache* cache);
+/// points_per_s} plus the batch merge accounting — in one place. Both
+/// run_sweep and the resilient runner call this exactly once at sweep
+/// end. No-op when the observer is inactive.
+void publish_sweep_stats(obs::Context& obs, const SweepRunStats& stats);
 
 }  // namespace fcdpm::par

@@ -110,8 +110,6 @@ std::string telemetry_worker_to_json(const TelemetryWorkerRow& w) {
   out += ",\"done\":" + std::to_string(w.done);
   out += ",\"retried\":" + std::to_string(w.retried);
   out += ",\"quarantined\":" + std::to_string(w.quarantined);
-  out += ",\"cache_hits\":" + std::to_string(w.cache_hits);
-  out += ",\"cache_misses\":" + std::to_string(w.cache_misses);
   out += ",\"hot_dispatches\":" + std::to_string(w.hot_dispatches);
   out += ",\"reference_dispatches\":" +
          std::to_string(w.reference_dispatches);
@@ -140,8 +138,6 @@ std::string telemetry_to_json(const TelemetryReport& t) {
   out += ",\"done\":" + std::to_string(t.done);
   out += ",\"retried\":" + std::to_string(t.retried);
   out += ",\"quarantined\":" + std::to_string(t.quarantined);
-  out += ",\"cache_hits\":" + std::to_string(t.cache_hits);
-  out += ",\"cache_misses\":" + std::to_string(t.cache_misses);
   out += ",\"hot_dispatches\":" + std::to_string(t.hot_dispatches);
   out += ",\"reference_dispatches\":" +
          std::to_string(t.reference_dispatches);
@@ -185,9 +181,6 @@ std::string sweep_bench_to_json(const SweepBenchReport& bench) {
   out += ",\"jobs\":" + std::to_string(bench.jobs);
   out += ",\"wall_s\":" + format_double(bench.wall_seconds);
   out += ",\"points_per_s\":" + format_double(bench.points_per_second);
-  out += ",\"cache\":{\"hits\":" + std::to_string(bench.cache_hits) +
-         ",\"misses\":" + std::to_string(bench.cache_misses) +
-         ",\"hit_rate\":" + format_double(bench.cache_hit_rate) + "}";
   out += ",\"serial_wall_s\":" + format_double(bench.serial_wall_seconds);
   out += ",\"speedup\":" + format_double(bench.speedup);
   out += ",\"bit_identical_to_serial\":" +
@@ -208,9 +201,7 @@ std::string sweep_bench_to_json(const SweepBenchReport& bench) {
            ",\"merge_sets\":" + std::to_string(bench.batch_merge_sets) +
            ",\"merged_lane_slots\":" +
            std::to_string(bench.batch_merged_lane_slots) +
-           ",\"splits\":" + std::to_string(bench.batch_splits) +
-           ",\"journal_hits\":" + std::to_string(bench.batch_journal_hits) +
-           "}";
+           ",\"splits\":" + std::to_string(bench.batch_splits) + "}";
   }
   if (bench.audit_enabled) {
     out += ",\"audit\":{\"mode\":\"" +

@@ -83,8 +83,6 @@ struct TelemetryWorkerRow {
   std::uint64_t done = 0;
   std::uint64_t retried = 0;
   std::uint64_t quarantined = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
   std::uint64_t hot_dispatches = 0;
   std::uint64_t reference_dispatches = 0;
   /// Batch-lane dispatches; serialized only when nonzero.
@@ -111,8 +109,6 @@ struct TelemetryReport {
   std::uint64_t done = 0;
   std::uint64_t retried = 0;
   std::uint64_t quarantined = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
   std::uint64_t hot_dispatches = 0;
   std::uint64_t reference_dispatches = 0;
   std::uint64_t batched_dispatches = 0;  ///< serialized only when nonzero
@@ -138,9 +134,6 @@ struct SweepBenchReport {
   std::size_t jobs = 0;
   double wall_seconds = 0.0;
   double points_per_second = 0.0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  double cache_hit_rate = 0.0;
   /// Wall-clock of the single-job reference run; 0 when none was taken.
   double serial_wall_seconds = 0.0;
   /// serial_wall_seconds / wall_seconds; 0 when no reference run.
@@ -166,7 +159,6 @@ struct SweepBenchReport {
   std::size_t batch_merge_sets = 0; ///< merge sets formed across tasks
   std::size_t batch_merged_lane_slots = 0;  ///< follower slots off leaders
   std::size_t batch_splits = 0;     ///< followers replayed onto own lanes
-  std::uint64_t batch_journal_hits = 0;  ///< journal-served follower solves
   /// Sweep-level runtime-audit rollup (`"audit":{...}`); emitted only
   /// when `audit_enabled` so audit-off reports keep their bytes.
   bool audit_enabled = false;

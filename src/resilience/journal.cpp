@@ -488,7 +488,6 @@ std::string record_to_json(const JournalRecord& record) {
     out += ",\"aud_storage\":" + std::to_string(a.storage_violations);
     out += ",\"aud_cap\":" + std::to_string(a.cap_violations);
     out += ",\"aud_stacks\":" + std::to_string(a.stacks_violations);
-    out += ",\"aud_cache\":" + std::to_string(a.cache_violations);
     out += ",\"aud_fallbacks\":" + std::to_string(a.engine_fallbacks);
     if (!a.first_violation.empty()) {
       out += ",\"aud_first_slot\":" +
@@ -732,7 +731,6 @@ bool record_from_json(std::string_view payload, JournalRecord& record) {
         !fields.integer("aud_storage", stats.storage_violations) ||
         !fields.integer("aud_cap", stats.cap_violations) ||
         !fields.integer("aud_stacks", stats.stacks_violations) ||
-        !fields.integer("aud_cache", stats.cache_violations) ||
         !fields.integer("aud_fallbacks", stats.engine_fallbacks)) {
       return false;
     }

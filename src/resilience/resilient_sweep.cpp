@@ -75,7 +75,6 @@ bool same_audit(const std::optional<audit::AuditStats>& a,
          a->storage_violations == b->storage_violations &&
          a->cap_violations == b->cap_violations &&
          a->stacks_violations == b->stacks_violations &&
-         a->cache_violations == b->cache_violations &&
          a->engine_fallbacks == b->engine_fallbacks &&
          a->first_violation_slot == b->first_violation_slot &&
          a->first_violation == b->first_violation;
@@ -172,8 +171,8 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
     for (std::size_t c = 0; c < checks; ++c) {
       const std::size_t k =
           replayed_ok[c * replayed_ok.size() / checks];  // evenly spaced
-      const par::SweepPointResult fresh = par::run_point(
-          base, points[k], grid.storm_faults, options.cache);
+      const par::SweepPointResult fresh =
+          par::run_point(base, points[k], grid.storm_faults);
       if (!same_observable(fresh.result, out.points[k].result.result)) {
         throw CsvError("journal spot-check failed at grid point " +
                        std::to_string(k) +
@@ -207,10 +206,6 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
     }
   }
 
-  const std::uint64_t hits_before =
-      options.cache != nullptr ? options.cache->hits() : 0;
-  const std::uint64_t misses_before =
-      options.cache != nullptr ? options.cache->misses() : 0;
   std::vector<std::size_t> attempts(points.size(), 0);
 
   const auto started = std::chrono::steady_clock::now();
@@ -249,22 +244,10 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
               watchdog->begin_work(worker, &token);
             }
             telemetry::SweepTelemetry* tel = options.telemetry;
-            // Per-worker cache tap: attributes this attempt's traffic
-            // to this worker's shard without touching the shared
-            // counters' meaning (they still total everything).
-            std::optional<par::SolveCacheTap> tap;
-            if (tel != nullptr && options.cache != nullptr) {
-              tap.emplace(*options.cache);
-            }
-            core::SlotSolveCache* attempt_cache =
-                tap.has_value()
-                    ? static_cast<core::SlotSolveCache*>(&*tap)
-                    : static_cast<core::SlotSolveCache*>(options.cache);
             const std::uint64_t t0 = tel != nullptr ? tel->now_ns() : 0;
             outcomes[j] = execute_point(base, points[item.index],
                                         item.index, grid.storm_faults,
-                                        attempt_cache, options.contract,
-                                        &token);
+                                        options.contract, &token);
             if (watchdog.has_value()) {
               watchdog->end_work(worker);
             }
@@ -287,16 +270,6 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
               // slot beats).
               shard.heartbeats.fetch_add(token.heartbeat(),
                                          std::memory_order_relaxed);
-              std::uint64_t point_hits = 0;
-              std::uint64_t point_misses = 0;
-              if (tap.has_value()) {
-                point_hits = tap->hits();
-                point_misses = tap->misses();
-                shard.cache_hits.fetch_add(point_hits,
-                                           std::memory_order_relaxed);
-                shard.cache_misses.fetch_add(point_misses,
-                                             std::memory_order_relaxed);
-              }
               shard.wall_us.observe(static_cast<double>(t1 - t0) * 1e-3);
               if (outcome.ok) {
                 // A failed attempt has no trustworthy result fields.
@@ -335,8 +308,6 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
                 lane.end_ns = t1;
                 lane.point_index = static_cast<std::uint32_t>(item.index);
                 lane.attempt = static_cast<std::uint32_t>(item.attempt);
-                lane.cache_hits = static_cast<std::uint32_t>(point_hits);
-                lane.cache_misses = static_cast<std::uint32_t>(point_misses);
                 lane.ok = outcome.ok;
                 lane.quarantined = !outcome.ok && final_attempt;
                 lane.hot = outcome.ok && outcome.result.ran_hot;
@@ -409,17 +380,11 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
     }
   }
 
-  if (options.cache != nullptr) {
-    out.stats.cache_hits = options.cache->hits() - hits_before;
-    out.stats.cache_misses = options.cache->misses() - misses_before;
-  }
-
   if (options.observer != nullptr && options.observer->active()) {
     obs::Context& obs = *options.observer;
-    // Shared end-of-sweep publication (par.sweep.* + par.cache.*): one
-    // site for both runners, so the cache gauges always equal the
-    // cache's own counters at sweep end.
-    par::publish_sweep_stats(obs, out.stats, options.cache);
+    // Shared end-of-sweep publication (par.sweep.*): one site for both
+    // runners.
+    par::publish_sweep_stats(obs, out.stats);
     obs.gauge("resilience.scheduled",
               static_cast<double>(out.resilience.scheduled));
     obs.gauge("resilience.replayed",

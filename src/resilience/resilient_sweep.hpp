@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "obs/context.hpp"
-#include "par/solve_cache.hpp"
 #include "par/sweep.hpp"
 #include "resilience/retry.hpp"
 
@@ -45,7 +44,6 @@ struct ResilienceOptions {
 
   /// Worker threads; 0 = hardware concurrency.
   std::size_t jobs = 1;
-  par::SharedSolveCache* cache = nullptr;
   /// Post-run stats publication only (never attached to worker runs).
   obs::Context* observer = nullptr;
   /// Live per-worker shards + optional lane recording (see

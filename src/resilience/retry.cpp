@@ -66,7 +66,6 @@ PointOutcome execute_point(const sim::ExperimentConfig& base,
                            const par::SweepPoint& point,
                            std::size_t point_index,
                            std::size_t storm_faults,
-                           core::SlotSolveCache* cache,
                            const ExecutionContract& contract,
                            sim::CancellationToken* cancel) {
   PointOutcome out;
@@ -76,7 +75,7 @@ PointOutcome execute_point(const sim::ExperimentConfig& base,
     return out;
   }
   try {
-    out.result = par::run_point(base, point, storm_faults, cache, cancel,
+    out.result = par::run_point(base, point, storm_faults, cancel,
                                 contract.point_deadline_slots);
   } catch (const sim::DeadlineExceededError& error) {
     out.error = {PointErrorKind::deadline_exceeded, error.what()};

@@ -14,7 +14,6 @@
 #include <limits>
 #include <string>
 
-#include "par/solve_cache.hpp"
 #include "par/sweep.hpp"
 #include "sim/cancellation.hpp"
 
@@ -93,7 +92,6 @@ struct PointOutcome {
                                          const par::SweepPoint& point,
                                          std::size_t point_index,
                                          std::size_t storm_faults,
-                                         core::SlotSolveCache* cache,
                                          const ExecutionContract& contract,
                                          sim::CancellationToken* cancel);
 

@@ -32,11 +32,10 @@ void emit_lanes(const LaneRecorder& recorder, std::size_t total_points,
       begin.name = "point";
       begin.track = track;
       begin.time = Seconds(static_cast<double>(lane.start_ns) * ns);
-      begin.arg_count = 4;
+      begin.arg_count = 3;
       begin.args[0] = {"index", static_cast<double>(lane.point_index)};
       begin.args[1] = {"attempt", static_cast<double>(lane.attempt)};
-      begin.args[2] = {"cache_hits", static_cast<double>(lane.cache_hits)};
-      begin.args[3] = {"hot", lane.hot ? 1.0 : 0.0};
+      begin.args[2] = {"hot", lane.hot ? 1.0 : 0.0};
       sink.event(begin);
 
       obs::TraceEvent end;
@@ -61,7 +60,7 @@ void emit_lanes(const LaneRecorder& recorder, std::size_t total_points,
     }
   }
 
-  // Counter tracks, one sample per completion in wall order.
+  // Counter track, one sample per completion in wall order.
   std::vector<PointLane> completions;
   for (std::size_t w = 0; w < recorder.workers(); ++w) {
     const std::vector<PointLane>& lane = recorder.lane(w);
@@ -74,42 +73,25 @@ void emit_lanes(const LaneRecorder& recorder, std::size_t total_points,
             });
 
   std::uint64_t settled = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
   sink.track_name(base_track, "sweep counters");
   for (const PointLane& lane : completions) {
-    // A retried attempt is not settled; its cache traffic still counts.
+    // A retried attempt is not settled.
     if (lane.ok || lane.quarantined) {
       ++settled;
     }
-    hits += lane.cache_hits;
-    misses += lane.cache_misses;
 
-    const Seconds t(static_cast<double>(lane.end_ns) * ns);
     obs::TraceEvent depth;
     depth.kind = obs::EventKind::Counter;
     depth.category = "sweep";
     depth.name = "sweep.queue_depth";
     depth.track = base_track;
-    depth.time = t;
+    depth.time = Seconds(static_cast<double>(lane.end_ns) * ns);
     depth.arg_count = 1;
     depth.args[0] = {"value",
                      static_cast<double>(total_points > settled
                                              ? total_points - settled
                                              : 0)};
     sink.event(depth);
-
-    const double total = static_cast<double>(hits + misses);
-    obs::TraceEvent rate;
-    rate.kind = obs::EventKind::Counter;
-    rate.category = "sweep";
-    rate.name = "sweep.cache_hit_rate";
-    rate.track = base_track;
-    rate.time = t;
-    rate.arg_count = 1;
-    rate.args[0] = {"value",
-                    total > 0.0 ? static_cast<double>(hits) / total : 0.0};
-    sink.event(rate);
   }
   sink.flush();
 }

@@ -4,8 +4,8 @@
 // their own pre-reserved vector (no locks, no cross-worker sharing);
 // after the sweep, `emit_lanes` replays the records into an
 // obs::TraceSink on one thread: one named track per worker (span per
-// point, wall-clock timeline) plus counter tracks for the solve-cache
-// hit rate and the remaining-queue depth. Emission is entirely
+// point, wall-clock timeline) plus a counter track for the
+// remaining-queue depth. Emission is entirely
 // post-hoc, so the trace sink — which is not thread-safe — is never
 // touched from a worker.
 #pragma once
@@ -27,8 +27,6 @@ struct PointLane {
   std::uint64_t end_ns = 0;
   std::uint32_t point_index = 0;
   std::uint32_t attempt = 1;
-  std::uint32_t cache_hits = 0;    ///< this attempt's tap delta
-  std::uint32_t cache_misses = 0;
   bool ok = true;
   /// Failed final attempt: the point will not run again. Lets the
   /// queue-depth counter settle failed points too.
@@ -64,13 +62,12 @@ class LaneRecorder {
 
 /// Replay the recorded lanes into `sink` (single-threaded):
 ///   track base_track + 1 + w  — named "sweep worker w", one span per
-///                               point attempt with index/hits/misses
+///                               point attempt with index/attempt/hot
 ///                               args;
 ///   track base_track          — counter samples "sweep.queue_depth"
-///                               (grid points not yet settled) and
-///                               "sweep.cache_hit_rate" (cumulative),
-///                               one sample per point completion in
-///                               wall order.
+///                               (grid points not yet settled), one
+///                               sample per point completion in wall
+///                               order.
 /// Event times are wall seconds since the sweep started (the sweep's
 /// trace file holds only telemetry events, so the simulated-time axis
 /// is not mixed in).

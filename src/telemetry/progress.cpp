@@ -28,9 +28,6 @@ std::string snapshot_to_json(const SweepSnapshot& snap) {
   out += ",\"done\":" + std::to_string(snap.done);
   out += ",\"retried\":" + std::to_string(snap.retried);
   out += ",\"quarantined\":" + std::to_string(snap.quarantined);
-  out += ",\"cache_hits\":" + std::to_string(snap.cache_hits);
-  out += ",\"cache_misses\":" + std::to_string(snap.cache_misses);
-  out += ",\"cache_hit_rate\":" + fmt(snap.cache_hit_rate());
   out += ",\"hot_dispatches\":" + std::to_string(snap.hot_dispatches);
   out += ",\"reference_dispatches\":" +
          std::to_string(snap.reference_dispatches);
@@ -73,8 +70,6 @@ std::string snapshot_to_json(const SweepSnapshot& snap) {
     out += ",\"done\":" + std::to_string(w.done);
     out += ",\"retried\":" + std::to_string(w.retried);
     out += ",\"quarantined\":" + std::to_string(w.quarantined);
-    out += ",\"cache_hits\":" + std::to_string(w.cache_hits);
-    out += ",\"cache_misses\":" + std::to_string(w.cache_misses);
     out += ",\"hot_dispatches\":" + std::to_string(w.hot_dispatches);
     out += ",\"reference_dispatches\":" +
            std::to_string(w.reference_dispatches);
@@ -111,9 +106,6 @@ std::string progress_line(const SweepSnapshot& snap) {
     out += "  eta " + fmt1(snap.eta_seconds) + "s";
   }
   out += "  p95 " + fmt1(snap.wall_p95_us) + "us";
-  if (snap.cache_hits + snap.cache_misses > 0) {
-    out += "  cache " + fmt1(100.0 * snap.cache_hit_rate()) + "%";
-  }
   if (snap.capped_slots > 0) {
     out += "  capped " + std::to_string(snap.capped_slots);
   }

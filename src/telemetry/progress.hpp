@@ -16,7 +16,7 @@ namespace fcdpm::telemetry {
 [[nodiscard]] std::string snapshot_to_json(const SweepSnapshot& snap);
 
 /// Compact single-line progress string for a terminal, e.g.
-///   `sweep 42/360 (11.7%)  123.4 pt/s  eta 2.6s  p95 812us  cache 87.5%`.
+///   `sweep 42/360 (11.7%)  123.4 pt/s  eta 2.6s  p95 812us`.
 /// No trailing newline; the caller decides between '\r' and '\n'.
 [[nodiscard]] std::string progress_line(const SweepSnapshot& snap);
 

@@ -110,8 +110,6 @@ struct alignas(kCacheLine) WorkerShard {
   std::atomic<std::uint64_t> points_done{0};      ///< completed ok
   std::atomic<std::uint64_t> points_retried{0};   ///< failed, will re-run
   std::atomic<std::uint64_t> points_quarantined{0};
-  std::atomic<std::uint64_t> cache_hits{0};    ///< via the per-worker tap
-  std::atomic<std::uint64_t> cache_misses{0};
   std::atomic<std::uint64_t> hot_dispatches{0};  ///< hot lane actually ran
   std::atomic<std::uint64_t> reference_dispatches{0};
   std::atomic<std::uint64_t> batched_dispatches{0};  ///< batch lane ran

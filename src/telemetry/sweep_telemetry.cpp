@@ -82,8 +82,6 @@ SweepSnapshot SweepTelemetry::snapshot() const {
     row.retried = shard.points_retried.load(std::memory_order_relaxed);
     row.quarantined =
         shard.points_quarantined.load(std::memory_order_relaxed);
-    row.cache_hits = shard.cache_hits.load(std::memory_order_relaxed);
-    row.cache_misses = shard.cache_misses.load(std::memory_order_relaxed);
     row.hot_dispatches =
         shard.hot_dispatches.load(std::memory_order_relaxed);
     row.reference_dispatches =
@@ -105,8 +103,6 @@ SweepSnapshot SweepTelemetry::snapshot() const {
     snap.done += row.done;
     snap.retried += row.retried;
     snap.quarantined += row.quarantined;
-    snap.cache_hits += row.cache_hits;
-    snap.cache_misses += row.cache_misses;
     snap.hot_dispatches += row.hot_dispatches;
     snap.reference_dispatches += row.reference_dispatches;
     snap.batched_dispatches += row.batched_dispatches;

@@ -34,8 +34,6 @@ struct WorkerSnapshot {
   std::uint64_t done = 0;
   std::uint64_t retried = 0;
   std::uint64_t quarantined = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
   std::uint64_t hot_dispatches = 0;
   std::uint64_t reference_dispatches = 0;
   std::uint64_t batched_dispatches = 0;
@@ -56,8 +54,6 @@ struct SweepSnapshot {
   std::uint64_t done = 0;
   std::uint64_t retried = 0;
   std::uint64_t quarantined = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
   std::uint64_t hot_dispatches = 0;
   std::uint64_t reference_dispatches = 0;
   std::uint64_t batched_dispatches = 0;
@@ -86,11 +82,6 @@ struct SweepSnapshot {
   double worker_skew = 1.0;
   std::vector<WorkerSnapshot> workers;
 
-  [[nodiscard]] double cache_hit_rate() const noexcept {
-    const double total =
-        static_cast<double>(cache_hits) + static_cast<double>(cache_misses);
-    return total > 0.0 ? static_cast<double>(cache_hits) / total : 0.0;
-  }
   /// done + quarantined: grid points that will not run again.
   [[nodiscard]] std::uint64_t settled() const noexcept {
     return done + quarantined;

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "audit/audit.hpp"
-#include "par/solve_cache.hpp"
 #include "par/sweep.hpp"
 #include "sim/experiments.hpp"
 
@@ -126,27 +125,6 @@ TEST(AuditedSimulation, StrictSweepBitIdenticalAcrossEnginesAndJobs) {
   }
 }
 
-TEST(AuditedSimulation, SharedCacheSpotChecksMatchFreshSolves) {
-  // With a shared memo attached, the verifying wrapper re-solves every
-  // sampled call; on a healthy build every one must bit-match. The
-  // cadence is cranked up so short runs like this one actually check
-  // (the default period skips runs with few solve calls by design).
-  sim::ExperimentConfig config = small_config(Mode::Strict);
-  config.audit.cache_check_period = 2;
-  par::SharedSolveCache cache;
-  par::SweepOptions options;
-  options.jobs = 2;
-  options.cache = &cache;
-  const par::SweepResult sweep =
-      par::run_sweep(config, small_grid(), options);
-  EXPECT_GT(cache.hits() + cache.misses(), 0u);
-  for (const par::SweepPointResult& p : sweep.points) {
-    ASSERT_TRUE(p.result.audit.has_value());
-    EXPECT_EQ(p.result.audit->cache_violations, 0u);
-    EXPECT_TRUE(p.result.audit->clean());
-  }
-}
-
 TEST(AuditedSimulation, TamperedHotLaneSelfHealsExactlyOnce) {
   sim::ExperimentConfig hot = small_config(Mode::Strict);
   hot.simulation.engine = sim::Engine::Hot;
@@ -158,7 +136,7 @@ TEST(AuditedSimulation, TamperedHotLaneSelfHealsExactlyOnce) {
   point.capacity = Coulomb(6.0);
 
   const par::SweepPointResult healed =
-      par::run_point(hot, point, 0, nullptr);
+      par::run_point(hot, point, 0);
 
   // The fallback is recorded: one engine fallback, the hot auditor's
   // violation carried over, and the run no longer counts as hot.
@@ -172,7 +150,7 @@ TEST(AuditedSimulation, TamperedHotLaneSelfHealsExactlyOnce) {
   // The healed observables are the reference engine's, bit for bit.
   sim::ExperimentConfig reference = small_config(Mode::Off);
   const par::SweepPointResult expected =
-      par::run_point(reference, point, 0, nullptr);
+      par::run_point(reference, point, 0);
   expect_same_observables(expected.result, healed.result);
 }
 

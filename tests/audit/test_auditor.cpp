@@ -226,20 +226,11 @@ TEST(Auditor, TamperHookCorruptsOnlyTheObservedIntegral) {
   EXPECT_EQ(auditor.stats().first_violation_slot, 3u);
 }
 
-TEST(Auditor, CacheMismatchCountsAsCacheViolation) {
-  AuditSpec spec;
-  spec.mode = Mode::Sample;
-  Auditor auditor(spec);
-  auditor.record_cache_mismatch();
-  EXPECT_EQ(auditor.stats().cache_violations, 1u);
-  EXPECT_EQ(auditor.stats().first_violation, "cache_fresh");
-}
-
 TEST(Auditor, RecordEngineFallbackCarriesHotCountersOver) {
   AuditStats hot;
   hot.violations = 2;
   hot.fuel_violations = 1;
-  hot.cache_violations = 1;
+  hot.storage_violations = 1;
   hot.first_violation = "delivered_integral";
   hot.first_violation_slot = 40;
 
@@ -249,7 +240,7 @@ TEST(Auditor, RecordEngineFallbackCarriesHotCountersOver) {
   EXPECT_EQ(healed.engine_fallbacks, 1u);
   EXPECT_EQ(healed.violations, 2u);
   EXPECT_EQ(healed.fuel_violations, 1u);
-  EXPECT_EQ(healed.cache_violations, 1u);
+  EXPECT_EQ(healed.storage_violations, 1u);
   EXPECT_EQ(healed.first_violation, "delivered_integral");
   EXPECT_EQ(healed.first_violation_slot, 40u);
 

@@ -117,7 +117,7 @@ batch::BatchStats run_and_check_batch(const sim::ExperimentConfig& base,
 
   batch::BatchStats stats;
   const std::vector<batch::LaneOutcome> outcomes =
-      batch::run_batch(compiled, dpm, lanes, shared, nullptr, &stats);
+      batch::run_batch(compiled, dpm, lanes, shared, &stats);
 
   EXPECT_EQ(outcomes.size(), capacities.size());
   for (std::size_t k = 0; k < outcomes.size(); ++k) {
@@ -172,10 +172,6 @@ TEST(BatchEngine, PureLanesMergeAndCascadeAfterLeaderDivergence) {
   // leadership at most once — strictly fewer splits than lanes.
   EXPECT_GT(stats.splits, 0u);
   EXPECT_LT(stats.splits, capacities.size());
-  // journal_hits is not asserted: the shipped policies solve once per
-  // planning callback, and a seated successor only re-plans when that
-  // one solve was capacity-clamped (non-reusable), so the journal can
-  // legitimately serve zero hits on this workload.
 }
 
 TEST(BatchEngine, StatefulPolicyNeverMergesButStaysIdentical) {

@@ -52,9 +52,9 @@ TEST(CapInvariants, NoStormEverDrawsAboveBudgetOnEitherEngine) {
     SCOPED_TRACE("storm seed " + std::to_string(seed));
     const par::SweepPoint point = storm_point(seed);
     const par::SweepPointResult ref =
-        par::run_point(reference, point, kStormFaults, nullptr);
+        par::run_point(reference, point, kStormFaults);
     const par::SweepPointResult fast =
-        par::run_point(hot, point, kStormFaults, nullptr);
+        par::run_point(hot, point, kStormFaults);
 
     ASSERT_TRUE(ref.result.cap.has_value());
     EXPECT_EQ(ref.result.cap->budget_violations, 0u);
@@ -79,9 +79,9 @@ TEST(CapInvariants, DisabledCapReproducesTheGovernorFreeBaseline) {
     SCOPED_TRACE("storm seed " + std::to_string(seed));
     const par::SweepPoint point = storm_point(seed);
     const par::SweepPointResult a =
-        par::run_point(baseline, point, kStormFaults, nullptr);
+        par::run_point(baseline, point, kStormFaults);
     const par::SweepPointResult b =
-        par::run_point(disabled, point, kStormFaults, nullptr);
+        par::run_point(disabled, point, kStormFaults);
     EXPECT_FALSE(a.result.cap.has_value());
     EXPECT_FALSE(b.result.cap.has_value());
     expect_bitwise_equal(a.result, b.result);
@@ -97,9 +97,9 @@ TEST(CapInvariants, HealthyCappedRunMatchesUncappedBitForBit) {
 
   const par::SweepPoint point = storm_point(/*seed=*/0);  // fault-free
   const par::SweepPointResult off =
-      par::run_point(uncapped, point, kStormFaults, nullptr);
+      par::run_point(uncapped, point, kStormFaults);
   const par::SweepPointResult on =
-      par::run_point(capped, point, kStormFaults, nullptr);
+      par::run_point(capped, point, kStormFaults);
 
   expect_bitwise_equal(off.result, on.result);
   EXPECT_FALSE(off.result.cap.has_value());

@@ -398,5 +398,85 @@ TEST(OraclePolicy, FlatPlanWithinRange) {
   EXPECT_LE(i_f.value(), 1.2);
 }
 
+// --- Solve clamp flag (batch-engine plan hand-off) -----------------------------
+
+template <typename Policy>
+Policy make_solving_policy();
+
+template <>
+FcDpmPolicy make_solving_policy<FcDpmPolicy>() {
+  return make_fcdpm();
+}
+
+template <>
+OracleFcPolicy make_solving_policy<OracleFcPolicy>() {
+  return OracleFcPolicy(paper_model(), camcorder());
+}
+
+/// A sleeping 14 s idle then 5 s at 1.2 A, predicted and actual alike,
+/// so FC-DPM and the oracle plan the same slot.
+IdleContext plan_context(double storage, double capacity) {
+  IdleContext context = idle_context(14.0, true, storage, capacity);
+  context.actual_idle = Seconds(14.0);
+  context.actual_active = Seconds(5.0);
+  context.actual_active_current = Ampere(1.2);
+  return context;
+}
+
+template <typename Policy>
+class SolveClampFlag : public testing::Test {};
+
+using SolvingPolicies = testing::Types<FcDpmPolicy, OracleFcPolicy>;
+TYPED_TEST_SUITE(SolveClampFlag, SolvingPolicies);
+
+TYPED_TEST(SolveClampFlag, CapacityClampedSolveRaisesIt) {
+  // A full 3 A-s buffer cannot absorb the flat optimum's idle surplus.
+  TypeParam idle_policy = make_solving_policy<TypeParam>();
+  idle_policy.on_idle_start(plan_context(3.0, 3.0));
+  EXPECT_TRUE(idle_policy.take_solve_clamped());
+
+  // The active re-solve: a 0.05 A burst below the 0.1 A output floor
+  // overfills the full buffer.
+  TypeParam active_policy = make_solving_policy<TypeParam>();
+  active_policy.on_idle_start(plan_context(3.0, 200.0));
+  ASSERT_FALSE(active_policy.take_solve_clamped());
+  ActiveContext active;
+  active.active_duration = Seconds(9.0);
+  active.active_current = Ampere(0.05);
+  active.storage_charge = Coulomb(3.0);
+  active.storage_capacity = Coulomb(3.0);
+  active_policy.on_active_start(active);
+  EXPECT_TRUE(active_policy.take_solve_clamped());
+}
+
+TYPED_TEST(SolveClampFlag, FailedSolveRaisesIt) {
+  // A zero-capacity buffer is invalid solver input: the policy falls
+  // back to max output and the answer is flagged.
+  TypeParam policy = make_solving_policy<TypeParam>();
+  policy.on_idle_start(plan_context(0.0, 0.0));
+  EXPECT_DOUBLE_EQ(
+      policy.segment_setpoint(segment(Phase::Idle, 0.2, 0.0, 0.0))
+          .setpoint.value(),
+      paper_model().max_output().value());
+  EXPECT_TRUE(policy.take_solve_clamped());
+}
+
+TYPED_TEST(SolveClampFlag, CleanSolveLeavesItDown) {
+  TypeParam policy = make_solving_policy<TypeParam>();
+  policy.on_idle_start(plan_context(3.0, 200.0));
+  EXPECT_FALSE(policy.take_solve_clamped());
+}
+
+TYPED_TEST(SolveClampFlag, TakingItResetsIt) {
+  TypeParam policy = make_solving_policy<TypeParam>();
+  policy.on_idle_start(plan_context(3.0, 3.0));
+  EXPECT_TRUE(policy.take_solve_clamped());
+  EXPECT_FALSE(policy.take_solve_clamped());
+  // The flag is sticky across solves until taken.
+  policy.on_idle_start(plan_context(3.0, 3.0));
+  policy.on_idle_start(plan_context(3.0, 200.0));
+  EXPECT_TRUE(policy.take_solve_clamped());
+}
+
 }  // namespace
 }  // namespace fcdpm::core

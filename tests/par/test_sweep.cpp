@@ -113,39 +113,6 @@ TEST(SweepTest, ParallelSweepIsBitIdenticalToSerialAcrossJobCounts) {
   }
 }
 
-// An exact-key (quantum 0) cache is transparent: hit-served answers
-// leave every result bit-identical to the uncached sweep.
-TEST(SweepTest, ExactKeyCacheDoesNotChangeAnyResult) {
-  const sim::ExperimentConfig base = small_base();
-  SweepGrid grid;
-  grid.rhos = {0.5};
-  grid.capacities = {Coulomb(6.0)};
-  grid.storm_seeds = {0};
-
-  SweepOptions plain;
-  plain.jobs = 2;
-  const SweepResult uncached = run_sweep(base, grid, plain);
-
-  SharedSolveCache cache;
-  SweepOptions cached_options;
-  cached_options.jobs = 2;
-  cached_options.cache = &cache;
-  // Two sweeps through one cache: the second is served mostly by hits.
-  const SweepResult first = run_sweep(base, grid, cached_options);
-  const SweepResult second = run_sweep(base, grid, cached_options);
-
-  ASSERT_EQ(first.points.size(), uncached.points.size());
-  for (std::size_t k = 0; k < uncached.points.size(); ++k) {
-    SCOPED_TRACE(testing::Message() << "point=" << k);
-    expect_same_result(first.points[k].result, uncached.points[k].result);
-    expect_same_result(second.points[k].result,
-                       uncached.points[k].result);
-  }
-  EXPECT_GT(cache.misses(), 0u);
-  EXPECT_GT(second.stats.cache_hits, 0u);
-  EXPECT_EQ(second.stats.cache_misses, 0u);
-}
-
 TEST(SweepTest, StormPointsCarryRobustnessAndDifferFromFaultFree) {
   const sim::ExperimentConfig base = small_base();
   SweepGrid grid;
@@ -219,10 +186,8 @@ TEST(SweepTelemetryTest, FinalSnapshotTotalsEqualTheSweepReport) {
   tconfig.record_lanes = true;
   telemetry::SweepTelemetry tel(tconfig);
 
-  SharedSolveCache cache(SolveCacheConfig{});
   SweepOptions options;
   options.jobs = 4;
-  options.cache = &cache;
   options.telemetry = &tel;
   const SweepResult sweep = run_sweep(base, grid, options);
 
@@ -230,10 +195,6 @@ TEST(SweepTelemetryTest, FinalSnapshotTotalsEqualTheSweepReport) {
   EXPECT_EQ(snap.done, sweep.stats.points);
   EXPECT_EQ(snap.retried, 0u);
   EXPECT_EQ(snap.quarantined, 0u);
-  // Worker-attributed cache traffic equals the report's shared-counter
-  // deltas: every lookup of this sweep went through a worker tap.
-  EXPECT_EQ(snap.cache_hits, sweep.stats.cache_hits);
-  EXPECT_EQ(snap.cache_misses, sweep.stats.cache_misses);
   EXPECT_EQ(snap.hot_dispatches + snap.reference_dispatches +
                 snap.batched_dispatches,
             sweep.stats.points);
@@ -247,33 +208,6 @@ TEST(SweepTelemetryTest, FinalSnapshotTotalsEqualTheSweepReport) {
     lanes += tel.lanes()->lane(w).size();
   }
   EXPECT_EQ(lanes, total);
-}
-
-TEST(SweepTelemetryTest, PublishedCacheGaugesMatchTheCountersExactly) {
-  const sim::ExperimentConfig base = small_base();
-  SweepGrid grid;
-  grid.policies = {sim::PolicyKind::FcDpm};
-  grid.rhos = {0.5, 0.5};  // duplicate rho: guaranteed cache hits
-  grid.capacities = {Coulomb(6.0)};
-  grid.storm_seeds = {0};
-
-  obs::MetricsRegistry metrics;
-  obs::Context obs(nullptr, &metrics, nullptr);
-  SharedSolveCache cache(SolveCacheConfig{});
-  SweepOptions options;
-  options.jobs = 2;
-  options.cache = &cache;
-  options.observer = &obs;
-  (void)run_sweep(base, grid, options);
-
-  // publish_sweep_stats is the single publication site: the gauges must
-  // equal the cache's own counters, not some call-site snapshot.
-  EXPECT_EQ(metrics.gauge("par.cache.hits").last(),
-            static_cast<double>(cache.hits()));
-  EXPECT_EQ(metrics.gauge("par.cache.misses").last(),
-            static_cast<double>(cache.misses()));
-  EXPECT_EQ(metrics.gauge("par.cache.entries").last(),
-            static_cast<double>(cache.size()));
 }
 
 }  // namespace

@@ -75,10 +75,10 @@ TEST(SweepHotEngine, RunPointCompilesLocallyWithoutASharedTrace) {
   // Shared compiled trace (what run_sweep passes)...
   const hot::CompiledTrace compiled(base.trace, base.device);
   const par::SweepPointResult shared =
-      par::run_point(base, point, 6, nullptr, nullptr, 0, &compiled);
+      par::run_point(base, point, 6, nullptr, 0, &compiled);
   // ...and the resilience retry path, which passes none.
   const par::SweepPointResult local =
-      par::run_point(base, point, 6, nullptr);
+      par::run_point(base, point, 6);
   EXPECT_EQ(std::memcmp(&shared.result.totals, &local.result.totals,
                         sizeof shared.result.totals),
             0);

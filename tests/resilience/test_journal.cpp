@@ -139,7 +139,6 @@ void expect_same_record(const JournalRecord& a, const JournalRecord& b) {
     EXPECT_EQ(aa.storage_violations, ab.storage_violations);
     EXPECT_EQ(aa.cap_violations, ab.cap_violations);
     EXPECT_EQ(aa.stacks_violations, ab.stacks_violations);
-    EXPECT_EQ(aa.cache_violations, ab.cache_violations);
     EXPECT_EQ(aa.engine_fallbacks, ab.engine_fallbacks);
     EXPECT_EQ(aa.first_violation_slot, ab.first_violation_slot);
     EXPECT_EQ(aa.first_violation, ab.first_violation);
@@ -340,10 +339,9 @@ TEST(JournalTest, AuditStatsRoundTripBitExactly) {
     stats.checks_run = 1023;
     stats.violations = 3;
     stats.fuel_violations = 1;
-    stats.storage_violations = 0;
+    stats.storage_violations = 1;
     stats.cap_violations = 0;
     stats.stacks_violations = 1;
-    stats.cache_violations = 1;
     stats.engine_fallbacks = 1;
     stats.first_violation_slot = 40;
     stats.first_violation = "delivered \"integral\"\n";  // escaping

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "audit/audit.hpp"
 #include "common/csv.hpp"
 #include "obs/context.hpp"
 #include "obs/metrics.hpp"
@@ -241,6 +242,72 @@ TEST(ResilientSweepTest, FullJournalResumeReSimulatesNothing) {
   std::remove(path.c_str());
 }
 
+// Audited journals written before the solve cache was removed carry an
+// "aud_cache" counter (always 0 there). The decoder ignores the retired
+// field, so such a journal still replays, passes its spot check and
+// resumes. The header and first record below are verbatim from such a
+// build: `fcdpm_cli sweep --policies fcdpm --rhos 0.5 --capacities 3,6
+// --audit sample --journal J --jobs 1`.
+TEST(ResilientSweepTest, ResumesAuditedJournalWithRetiredCacheField) {
+  const std::string journal =
+      R"j({"fcdpm_journal":1,"trace":"camcorder","points":2,"fingerprint":"c)j"
+      R"j(dbfc02dd2ee1cc8"})j"
+      "\n"
+      R"j(R 000002a9 555a6b06358eae82 {"index":0,"policy":2,"rho":"0x1p-1",")j"
+      R"j(capacity":"0x1.8p+1","seed":0,"attempts":1,"ok":true,"trace":"camc)j"
+      R"j(order","dpm":"predictive(exp-average)","fc":"FC-DPM","fuel":"0x1.b)j"
+      R"j(3fa2d7f39b98p+9","delivered_j":"0x1.778a698729fd4p+13","load_j":"0)j"
+      R"j(x1.6fdf2fb50eb28p+13","bled":"0x1.47344daf3723dp+4","unserved":"0x)j"
+      R"j(0p+0","duration":"0x1.dedbcd0d6e883p+10","slots":112,"sleeps":112,)j"
+      R"j("latency":"0x0p+0","storage_initial":"0x1p+0","storage_end":"0x1.f)j"
+      R"j(fffffffffffcp-1","storage_min":"0x1.ea4e178478162p-1","storage_max)j"
+      R"j(":"0x1.8p+1","aud_mode":1,"aud_slots":7,"aud_segments":28,"aud_che)j"
+      R"j(cks":86,"aud_violations":0,"aud_fuel":0,"aud_storage":0,"aud_cap":)j"
+      R"j(0,"aud_stacks":0,"aud_cache":0,"aud_fallbacks":0})j"
+      "\n";
+  ASSERT_NE(journal.find("\"aud_cache\":0"), std::string::npos);
+  const std::string path = temp_path("aud_cache.fcj");
+  write_file(path, journal);
+
+  sim::ExperimentConfig base = sim::experiment1_config();
+  base.audit.mode = audit::Mode::Sample;
+  par::SweepGrid grid;
+  grid.policies = {sim::PolicyKind::FcDpm};
+  grid.rhos = {0.5};
+  grid.capacities = {Coulomb(3.0), Coulomb(6.0)};
+
+  const JournalLoad load = load_journal(path);
+  ASSERT_EQ(load.records.size(), 1u);
+  EXPECT_FALSE(load.torn_tail);
+  ASSERT_TRUE(load.records[0].result.audit.has_value());
+  EXPECT_EQ(load.records[0].result.audit->slots_audited, 7u);
+
+  ResilienceOptions resume;
+  resume.journal_path = path;
+  resume.resume = true;
+  resume.spot_checks = 1;  // re-simulates the replayed point bitwise
+  const ResilientSweepResult resumed = run_resilient_sweep(base, grid, resume);
+  EXPECT_EQ(resumed.resilience.replayed, 1u);
+  EXPECT_EQ(resumed.resilience.scheduled, 1u);
+  EXPECT_EQ(resumed.resilience.spot_checks, 1u);
+
+  const ResilientSweepResult fresh =
+      run_resilient_sweep(base, grid, ResilienceOptions{});
+  ASSERT_EQ(resumed.points.size(), fresh.points.size());
+  for (std::size_t k = 0; k < fresh.points.size(); ++k) {
+    SCOPED_TRACE(testing::Message() << "point=" << k);
+    ASSERT_TRUE(resumed.points[k].ok);
+    expect_same_result(resumed.points[k].result.result,
+                       fresh.points[k].result.result);
+  }
+  // New records are written without the retired field.
+  const std::string healed = read_file(path);
+  const std::size_t appended = healed.find("\"index\":1");
+  ASSERT_NE(appended, std::string::npos);
+  EXPECT_EQ(healed.find("aud_cache", appended), std::string::npos);
+  std::remove(path.c_str());
+}
+
 TEST(ResilientSweepTest, ResumeRejectsAForeignGridFingerprint) {
   const sim::ExperimentConfig base = small_base();
   par::SweepGrid grid;
@@ -272,7 +339,7 @@ TEST(ResilientSweepTest, SpotCheckCatchesATamperedJournal) {
   // Forge a journal whose record checksums fine but whose fuel value is
   // wrong: only the spot-check's re-simulation can expose it.
   const par::SweepPointResult honest =
-      par::run_point(base, points[0], grid.storm_faults, nullptr);
+      par::run_point(base, points[0], grid.storm_faults);
   JournalRecord record;
   record.index = 0;
   record.point = points[0];

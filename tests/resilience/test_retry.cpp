@@ -88,12 +88,12 @@ TEST(ExecutePointTest, CleanPointMatchesPlainRunPointBitwise) {
   const sim::ExperimentConfig base = small_base();
   const par::SweepPoint point = fcdpm_point(base);
   const PointOutcome outcome =
-      execute_point(base, point, 0, 12, nullptr, ExecutionContract{},
+      execute_point(base, point, 0, 12, ExecutionContract{},
                     nullptr);
   ASSERT_TRUE(outcome.ok);
 
   const par::SweepPointResult direct =
-      par::run_point(base, point, 12, nullptr);
+      par::run_point(base, point, 12);
   EXPECT_EQ(outcome.result.result.totals.fuel.value(),
             direct.result.totals.fuel.value());
   EXPECT_EQ(outcome.result.result.storage_end.value(),
@@ -106,14 +106,14 @@ TEST(ExecutePointTest, InjectedFailureMapsToSolverDivergedWithoutThrow) {
   ExecutionContract contract;
   contract.inject_fail_index = 3;
   const PointOutcome outcome = execute_point(
-      base, fcdpm_point(base), 3, 12, nullptr, contract, nullptr);
+      base, fcdpm_point(base), 3, 12, contract, nullptr);
   EXPECT_FALSE(outcome.ok);
   EXPECT_EQ(outcome.error.kind, PointErrorKind::solver_diverged);
   EXPECT_FALSE(outcome.error.detail.empty());
 
   // Another index under the same contract is unaffected.
   const PointOutcome clean = execute_point(
-      base, fcdpm_point(base), 4, 12, nullptr, contract, nullptr);
+      base, fcdpm_point(base), 4, 12, contract, nullptr);
   EXPECT_TRUE(clean.ok);
 }
 
@@ -122,7 +122,7 @@ TEST(ExecutePointTest, SlotBudgetDeadlineMapsToDeadlineExceeded) {
   ExecutionContract contract;
   contract.point_deadline_slots = 2;  // trace has more slots than this
   const PointOutcome outcome = execute_point(
-      base, fcdpm_point(base), 0, 12, nullptr, contract, nullptr);
+      base, fcdpm_point(base), 0, 12, contract, nullptr);
   EXPECT_FALSE(outcome.ok);
   EXPECT_EQ(outcome.error.kind, PointErrorKind::deadline_exceeded);
   EXPECT_NE(outcome.error.detail.find("slot budget"), std::string::npos);
@@ -133,7 +133,7 @@ TEST(ExecutePointTest, PreCancelledTokenFailsTheAttemptOnly) {
   sim::CancellationToken token;
   token.cancel();
   const PointOutcome outcome = execute_point(
-      base, fcdpm_point(base), 0, 12, nullptr, ExecutionContract{},
+      base, fcdpm_point(base), 0, 12, ExecutionContract{},
       &token);
   EXPECT_FALSE(outcome.ok);
   EXPECT_EQ(outcome.error.kind, PointErrorKind::deadline_exceeded);
@@ -141,7 +141,7 @@ TEST(ExecutePointTest, PreCancelledTokenFailsTheAttemptOnly) {
   // After reset the same token lets the point run to completion.
   token.reset();
   const PointOutcome retried = execute_point(
-      base, fcdpm_point(base), 0, 12, nullptr, ExecutionContract{},
+      base, fcdpm_point(base), 0, 12, ExecutionContract{},
       &token);
   EXPECT_TRUE(retried.ok);
   EXPECT_GT(token.heartbeat(), 0u);
@@ -158,14 +158,14 @@ TEST(ExecutePointTest, UnservedBudgetQuarantinesABrownedOutPoint) {
   contract.unserved_budget_as = 25.0;
 
   const PointOutcome uncapped =
-      execute_point(base, stormy, 0, 14, nullptr, contract, nullptr);
+      execute_point(base, stormy, 0, 14, contract, nullptr);
   ASSERT_FALSE(uncapped.ok);
   EXPECT_EQ(uncapped.error.kind, PointErrorKind::power_undeliverable);
   EXPECT_NE(uncapped.error.detail.find("unserved"), std::string::npos);
 
   base.cap.enabled = true;
   const PointOutcome capped =
-      execute_point(base, stormy, 0, 14, nullptr, contract, nullptr);
+      execute_point(base, stormy, 0, 14, contract, nullptr);
   ASSERT_TRUE(capped.ok);
   ASSERT_TRUE(capped.result.result.cap.has_value());
   EXPECT_GT(capped.result.result.cap->slots_capped, 0u);
@@ -181,7 +181,7 @@ TEST(ExecutePointTest, SolverFailureBudgetZeroQuarantinesAStormPoint) {
   ExecutionContract strict;
   strict.solver_failure_budget = 0;
   const PointOutcome outcome =
-      execute_point(base, stormy, 0, 64, nullptr, strict, nullptr);
+      execute_point(base, stormy, 0, 64, strict, nullptr);
   if (!outcome.ok) {
     EXPECT_EQ(outcome.error.kind, PointErrorKind::solver_diverged);
     EXPECT_NE(outcome.error.detail.find("budget"), std::string::npos);
@@ -189,7 +189,7 @@ TEST(ExecutePointTest, SolverFailureBudgetZeroQuarantinesAStormPoint) {
     // The storm may legitimately produce zero solver failures; the
     // default (unlimited) contract must then agree.
     const PointOutcome lax = execute_point(
-        base, stormy, 0, 64, nullptr, ExecutionContract{}, nullptr);
+        base, stormy, 0, 64, ExecutionContract{}, nullptr);
     EXPECT_TRUE(lax.ok);
   }
 }

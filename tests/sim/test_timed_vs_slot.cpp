@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include "sim/slot_simulator.hpp"
@@ -30,6 +31,12 @@ struct AgreementCase {
   std::string policy;   // "conv" | "asap" | "fcdpm"
   std::string workload; // "camcorder" | "synthetic"
 };
+
+// Without this gtest prints the case as raw bytes, which include the heap
+// addresses of the two strings and so change the test name from run to run.
+void PrintTo(const AgreementCase& c, std::ostream* os) {
+  *os << c.policy << "_" << c.workload;
+}
 
 std::unique_ptr<FcOutputPolicy> make_policy(const std::string& kind,
                                             const DevicePowerModel& device) {

@@ -67,8 +67,8 @@ TEST(StacksSimulation, SingleStackBitIdenticalAcrossPoliciesAndEngines) {
         point.policy = kind;
         point.rho = 0.5;
         point.capacity = Coulomb(6.0);
-        const par::SweepPointResult ref = par::run_point(off, point, 0, nullptr);
-        const par::SweepPointResult multi = par::run_point(on, point, 0, nullptr);
+        const par::SweepPointResult ref = par::run_point(off, point, 0);
+        const par::SweepPointResult multi = par::run_point(on, point, 0);
         expect_same_result(ref.result, multi.result);
         ASSERT_TRUE(multi.result.stacks.has_value());
         EXPECT_EQ(multi.result.stacks->stacks.size(), 1u);

@@ -106,31 +106,31 @@ TEST(LanesTest, QueueDepthSettlesOkAndQuarantinedButNotRetries) {
   EXPECT_EQ(failed_instants, 2);
 }
 
-TEST(LanesTest, CacheHitRateAccumulatesAcrossCompletionsInWallOrder) {
+TEST(LanesTest, CounterSamplesFollowWallOrderAcrossWorkers) {
   LaneRecorder recorder(2, 2);
-  PointLane a = lane(0, 100, 0);
-  a.cache_hits = 0;
-  a.cache_misses = 2;
-  PointLane b = lane(0, 200, 1);
-  b.cache_hits = 2;
-  b.cache_misses = 0;
+  const PointLane a = lane(0, 100, 0);
+  const PointLane b = lane(0, 200, 1);
   // Recorded out of wall order across workers; emission sorts by end.
   recorder.record(1, b);
   recorder.record(0, a);
 
   CaptureSink sink;
-  emit_lanes(recorder, 2, sink);
+  emit_lanes(recorder, 3, sink);
 
-  std::vector<double> rates;
+  std::vector<double> times;
+  std::vector<double> depths;
   for (const CaptureSink::Captured& e : sink.events) {
-    if (e.kind == obs::EventKind::Counter &&
-        e.name == "sweep.cache_hit_rate") {
-      rates.push_back(e.arg0);
+    if (e.kind == obs::EventKind::Counter) {
+      EXPECT_EQ(e.name, "sweep.queue_depth");
+      times.push_back(e.time);
+      depths.push_back(e.arg0);
     }
   }
-  ASSERT_EQ(rates.size(), 2u);
-  EXPECT_DOUBLE_EQ(rates[0], 0.0);  // after a: 0 of 2
-  EXPECT_DOUBLE_EQ(rates[1], 0.5);  // after b: 2 of 4
+  ASSERT_EQ(depths.size(), 2u);
+  EXPECT_DOUBLE_EQ(times[0], 100e-9);  // a completes first
+  EXPECT_DOUBLE_EQ(times[1], 200e-9);
+  EXPECT_DOUBLE_EQ(depths[0], 2.0);  // after a: 2 of 3 unsettled
+  EXPECT_DOUBLE_EQ(depths[1], 1.0);
 }
 
 TEST(LanesTest, SpanTimesAreWallSecondsSinceSweepStart) {

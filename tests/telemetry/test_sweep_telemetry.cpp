@@ -24,11 +24,9 @@ TEST(SweepTelemetryTest, SnapshotMergesEveryShard) {
   WorkerShard& w0 = tel.shards().shard(0);
   WorkerShard& w1 = tel.shards().shard(1);
   w0.points_done.fetch_add(3, std::memory_order_relaxed);
-  w0.cache_hits.fetch_add(5, std::memory_order_relaxed);
   w0.wall_us.observe(100.0);
   w1.points_done.fetch_add(2, std::memory_order_relaxed);
   w1.points_retried.fetch_add(1, std::memory_order_relaxed);
-  w1.cache_misses.fetch_add(4, std::memory_order_relaxed);
   w1.wall_us.observe(300.0);
 
   const SweepSnapshot snap = tel.snapshot();
@@ -36,9 +34,6 @@ TEST(SweepTelemetryTest, SnapshotMergesEveryShard) {
   EXPECT_EQ(snap.total_points, 10u);
   EXPECT_EQ(snap.done, 5u);
   EXPECT_EQ(snap.retried, 1u);
-  EXPECT_EQ(snap.cache_hits, 5u);
-  EXPECT_EQ(snap.cache_misses, 4u);
-  EXPECT_DOUBLE_EQ(snap.cache_hit_rate(), 5.0 / 9.0);
   // Quantile clamps to the exact observed max.
   EXPECT_DOUBLE_EQ(snap.wall_max_us, 300.0);
   ASSERT_EQ(snap.workers.size(), 2u);
@@ -121,14 +116,14 @@ TEST(ProgressTest, SnapshotJsonCarriesTheHeadlineFields) {
   SweepTelemetry tel(two_worker_config());
   tel.shards().shard(0).points_done.fetch_add(4,
                                               std::memory_order_relaxed);
-  tel.shards().shard(0).cache_hits.fetch_add(2, std::memory_order_relaxed);
+  tel.shards().shard(0).slots.fetch_add(2, std::memory_order_relaxed);
   const SweepSnapshot snap = tel.snapshot();
   const std::string line = snapshot_to_json(snap);
   EXPECT_NE(line.find("\"schema\":\"fcdpm.sweep_progress.v1\""),
             std::string::npos);
   EXPECT_NE(line.find("\"done\":4"), std::string::npos);
   EXPECT_NE(line.find("\"total_points\":10"), std::string::npos);
-  EXPECT_NE(line.find("\"cache_hits\":2"), std::string::npos);
+  EXPECT_NE(line.find("\"slots\":2"), std::string::npos);
   EXPECT_NE(line.find("\"workers\":["), std::string::npos);
   // One line, one object.
   EXPECT_EQ(line.find('\n'), std::string::npos);
