@@ -57,8 +57,9 @@ fcdpm_add_bench(perf_tracing_overhead)
 # output.
 fcdpm_add_bench(perf_cap)
 
-# Regression-gated hot-engine bench: writes BENCH_core.json, exits 1 on
-# any hot-vs-reference bit divergence (and on --min-speedup misses).
+# Regression-gated single-run bench (batched engine at B = 1): writes
+# BENCH_core.json, exits 1 on any batched-vs-reference bit divergence
+# (and on --min-speedup misses).
 fcdpm_add_bench(perf_harness)
 
 # Regression-gated batched-sweep bench: writes BENCH_batch.json, exits 1

@@ -36,7 +36,7 @@ using Clock = std::chrono::steady_clock;
 /// Merge-heavy grid: planning policies only — Asap's stateful lanes
 /// never merge, and Conv pins storage at the ceiling from the first
 /// slot, so both would just dilute the measurement into a
-/// hot-vs-reference comparison. The capacity axis spans the
+/// one-lane-vs-reference comparison. The capacity axis spans the
 /// above-saturation regime a capacity ablation actually explores
 /// (where the planner's buffered level fits and lanes stay bitwise
 /// shared), with a sub-saturation tail so the split/hand-off machinery

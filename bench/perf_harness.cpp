@@ -1,17 +1,16 @@
-// Regression-gated perf bench for the hot-path engine: BENCH_core.json.
+// Regression-gated perf bench for the batched engine at B = 1:
+// BENCH_core.json.
 //
 // Measures the headline single-thread runs (camcorder trace, FC-DPM
-// policy) on the reference and hot engines — min-of-N wall clock with
-// warmup — plus a per-phase breakdown from the hot engine's profiler
-// scopes and a capture of the build environment, and writes the lot
-// atomically as JSON.
+// policy) on the reference loop and on batch::simulate (a one-lane
+// batch) — min-of-N wall clock with warmup — plus a capture of the
+// build environment, and writes the lot atomically as JSON.
 //
 // Two gates, both exit 1:
-//   * bit-identity: the hot engine must reproduce the reference run
+//   * bit-identity: the batched engine must reproduce the reference run
 //     and the reference lifetime measurement to the last bit;
-//   * --min-speedup X (default 0 = report only): the measured hot
-//     lifetime speedup must reach X. CI runs with --min-speedup 1.2;
-//     the checked-in baseline shows >= 1.5x.
+//   * --min-speedup X (default 0 = report only): the measured batched
+//     lifetime speedup must reach X. CI runs with --min-speedup 1.2.
 //
 //   perf_harness [--out BENCH_core.json] [--repeats N] [--min-speedup X]
 #include <chrono>
@@ -22,12 +21,10 @@
 #include <sstream>
 #include <string>
 
+#include "batch/engine.hpp"
+#include "batch/lifetime.hpp"
 #include "common/atomic_file.hpp"
-#include "hot/compiled_trace.hpp"
-#include "hot/engine.hpp"
-#include "hot/lifetime.hpp"
-#include "obs/context.hpp"
-#include "obs/profiler.hpp"
+#include "sim/compiled_trace.hpp"
 #include "sim/experiments.hpp"
 #include "sim/lifetime.hpp"
 #include "sim/slot_simulator.hpp"
@@ -121,44 +118,44 @@ int main(int argc, char** argv) {
   }
 
   const sim::ExperimentConfig config = sim::experiment1_config();
-  const hot::CompiledTrace compiled(config.trace, config.device);
+  const sim::CompiledTrace compiled(config.trace, config.device);
 
   // ---- Gate 1: bit-identity, single run and lifetime. -----------------
   Policies ref(config);
   const sim::SimulationResult ref_run = sim::simulate(
       config.trace, ref.dpm, *ref.fc, ref.hybrid, config.simulation);
-  Policies hot_p(config);
-  const sim::SimulationResult hot_run = hot::simulate(
-      compiled, hot_p.dpm, *hot_p.fc, hot_p.hybrid, config.simulation);
+  Policies fast(config);
+  const sim::SimulationResult fast_run = batch::simulate(
+      compiled, fast.dpm, *fast.fc, fast.hybrid, config.simulation);
   const bool run_identical =
-      std::memcmp(&ref_run.totals, &hot_run.totals,
+      std::memcmp(&ref_run.totals, &fast_run.totals,
                   sizeof ref_run.totals) == 0 &&
-      ref_run.storage_end == hot_run.storage_end &&
-      ref_run.storage_min == hot_run.storage_min &&
-      ref_run.storage_max == hot_run.storage_max &&
-      ref_run.sleeps == hot_run.sleeps &&
-      ref_run.latency_added == hot_run.latency_added &&
-      ref_run.slots == hot_run.slots;
+      ref_run.storage_end == fast_run.storage_end &&
+      ref_run.storage_min == fast_run.storage_min &&
+      ref_run.storage_max == fast_run.storage_max &&
+      ref_run.sleeps == fast_run.sleeps &&
+      ref_run.latency_added == fast_run.latency_added &&
+      ref_run.slots == fast_run.slots;
   if (!run_identical) {
-    fail("hot::simulate diverged from sim::simulate (single run)");
+    fail("batch::simulate diverged from sim::simulate (single run)");
   }
 
   Policies ref_l(config);
   const sim::LifetimeResult ref_life =
       sim::measure_lifetime(config.trace, ref_l.dpm, *ref_l.fc,
                             ref_l.hybrid, lifetime_options(config));
-  Policies hot_l(config);
-  const sim::LifetimeResult hot_life =
-      hot::measure_lifetime(compiled, hot_l.dpm, *hot_l.fc, hot_l.hybrid,
-                            lifetime_options(config));
+  Policies fast_l(config);
+  const sim::LifetimeResult fast_life =
+      batch::measure_lifetime(compiled, fast_l.dpm, *fast_l.fc,
+                              fast_l.hybrid, lifetime_options(config));
   const bool life_identical =
-      ref_life.lifetime == hot_life.lifetime &&
-      ref_life.passes == hot_life.passes &&
-      ref_life.slots_completed == hot_life.slots_completed &&
-      ref_life.tank_emptied == hot_life.tank_emptied &&
-      ref_life.average_fuel_current == hot_life.average_fuel_current;
+      ref_life.lifetime == fast_life.lifetime &&
+      ref_life.passes == fast_life.passes &&
+      ref_life.slots_completed == fast_life.slots_completed &&
+      ref_life.tank_emptied == fast_life.tank_emptied &&
+      ref_life.average_fuel_current == fast_life.average_fuel_current;
   if (!life_identical) {
-    fail("hot::measure_lifetime diverged from sim::measure_lifetime");
+    fail("batch::measure_lifetime diverged from sim::measure_lifetime");
   }
   std::printf("bit-identity: OK (fuel %.17g A-s, lifetime %.17g s, "
               "%zu passes)\n",
@@ -181,11 +178,11 @@ int main(int argc, char** argv) {
         }
       }) /
       kBatch;
-  const double hot_single =
+  const double batched_single =
       best_of(repeats, 2, [&] {
         for (int k = 0; k < kBatch; ++k) {
           Policies p(config);
-          const sim::SimulationResult r = hot::simulate(
+          const sim::SimulationResult r = batch::simulate(
               compiled, p.dpm, *p.fc, p.hybrid, config.simulation);
           sink = sink + r.totals.fuel.value();
         }
@@ -197,45 +194,27 @@ int main(int argc, char** argv) {
         config.trace, p.dpm, *p.fc, p.hybrid, lifetime_options(config));
     sink = sink + r.lifetime.value();
   });
-  const double hot_lifetime_s = best_of(repeats, 2, [&] {
+  const double batched_lifetime_s = best_of(repeats, 2, [&] {
     Policies p(config);
-    const sim::LifetimeResult r = hot::measure_lifetime(
+    const sim::LifetimeResult r = batch::measure_lifetime(
         compiled, p.dpm, *p.fc, p.hybrid, lifetime_options(config));
     sink = sink + r.lifetime.value();
   });
   const double single_speedup =
-      hot_single > 0.0 ? ref_single / hot_single : 0.0;
+      batched_single > 0.0 ? ref_single / batched_single : 0.0;
   const double lifetime_speedup =
-      hot_lifetime_s > 0.0 ? ref_lifetime_s / hot_lifetime_s : 0.0;
-  std::printf("single run: ref %.1f us, hot %.1f us (%.2fx)\n",
-              ref_single * 1e6, hot_single * 1e6, single_speedup);
-  std::printf("lifetime  : ref %.2f ms, hot %.2f ms (%.2fx)\n",
-              ref_lifetime_s * 1e3, hot_lifetime_s * 1e3,
+      batched_lifetime_s > 0.0 ? ref_lifetime_s / batched_lifetime_s : 0.0;
+  std::printf("single run: ref %.1f us, batched %.1f us (%.2fx)\n",
+              ref_single * 1e6, batched_single * 1e6, single_speedup);
+  std::printf("lifetime  : ref %.2f ms, batched %.2f ms (%.2fx)\n",
+              ref_lifetime_s * 1e3, batched_lifetime_s * 1e3,
               lifetime_speedup);
-
-  // ---- Per-phase breakdown from the hot engine's profiler scopes. -----
-  // A profiler-only observer keeps the run inside the hot lane (and
-  // bit-identical); the scopes split the wall clock between planning
-  // and segment integration.
-  obs::Profiler profiler;
-  obs::Context profiled;
-  profiled.set_profiler(&profiler);
-  {
-    Policies p(config);
-    sim::SimulationOptions options = config.simulation;
-    options.observer = &profiled;
-    const sim::SimulationResult r =
-        hot::simulate(compiled, p.dpm, *p.fc, p.hybrid, options);
-    if (std::memcmp(&r.totals, &hot_run.totals, sizeof r.totals) != 0) {
-      fail("profiled hot run diverged from the unprofiled hot run");
-    }
-  }
 
   // ---- BENCH_core.json. -----------------------------------------------
   const bool speedup_ok = lifetime_speedup >= min_speedup;
   std::ostringstream json;
   json << "{\n"
-       << "  \"schema\": \"fcdpm.bench.core.v1\",\n"
+       << "  \"schema\": \"fcdpm.bench.core.v2\",\n"
        << "  \"generated_by\": \"bench/perf_harness\",\n"
        << "  \"env\": {\n"
        << "    \"compiler\": \"" << __VERSION__ << "\",\n"
@@ -268,35 +247,18 @@ int main(int argc, char** argv) {
        << "    \"single_run\": {\n"
        << "      \"reference_us\": " << json_number(ref_single * 1e6)
        << ",\n"
-       << "      \"hot_us\": " << json_number(hot_single * 1e6) << ",\n"
+       << "      \"batched_us\": " << json_number(batched_single * 1e6)
+       << ",\n"
        << "      \"speedup\": " << json_number(single_speedup) << "\n"
        << "    },\n"
        << "    \"lifetime\": {\n"
        << "      \"reference_ms\": " << json_number(ref_lifetime_s * 1e3)
        << ",\n"
-       << "      \"hot_ms\": " << json_number(hot_lifetime_s * 1e3)
+       << "      \"batched_ms\": " << json_number(batched_lifetime_s * 1e3)
        << ",\n"
        << "      \"speedup\": " << json_number(lifetime_speedup) << "\n"
        << "    }\n"
        << "  },\n"
-       << "  \"phases\": [";
-  bool first = true;
-  for (const auto& [name, stats] : profiler.scopes()) {
-    if (!first) {
-      json << ",";
-    }
-    first = false;
-    const double total_us =
-        static_cast<double>(stats.total.count()) / 1e3;
-    json << "\n    {\"scope\": \"" << name << "\", \"calls\": "
-         << stats.calls << ", \"total_us\": " << json_number(total_us)
-         << ", \"mean_us\": "
-         << json_number(stats.calls > 0
-                            ? total_us / static_cast<double>(stats.calls)
-                            : 0.0)
-         << "}";
-  }
-  json << "\n  ],\n"
        << "  \"gates\": {\n"
        << "    \"min_speedup\": " << json_number(min_speedup) << ",\n"
        << "    \"passed\": " << (speedup_ok ? "true" : "false") << "\n"

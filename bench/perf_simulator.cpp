@@ -1,11 +1,11 @@
 // Performance A7: simulator throughput — slots per second for the exact
-// slot simulator under each policy, the hot-path engine on the same
-// runs, and the dt-stepped simulator for comparison. Bounds how large a
-// trace the harness can sweep.
+// slot simulator under each policy, the batched engine (one-lane batch)
+// on the same runs, and the dt-stepped simulator for comparison. Bounds
+// how large a trace the harness can sweep.
 //
-// The binary is also the allocation regression gate for the hot engine:
-// main() proves the steady-state slot loop of hot::simulate is free of
-// heap traffic (exit 1 on regression, see below).
+// The binary is also the allocation regression gate for the batched
+// engine: main() proves the steady-state slot loop of batch::simulate
+// is free of heap traffic (exit 1 on regression, see below).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -15,8 +15,8 @@
 #include <new>
 #include <vector>
 
-#include "hot/compiled_trace.hpp"
-#include "hot/engine.hpp"
+#include "batch/engine.hpp"
+#include "sim/compiled_trace.hpp"
 #include "sim/experiments.hpp"
 #include "sim/slot_simulator.hpp"
 #include "sim/timed_simulator.hpp"
@@ -58,8 +58,8 @@ const sim::ExperimentConfig& config1() {
   return config;
 }
 
-const hot::CompiledTrace& compiled1() {
-  static const hot::CompiledTrace compiled(config1().trace,
+const sim::CompiledTrace& compiled1() {
+  static const sim::CompiledTrace compiled(config1().trace,
                                            config1().device);
   return compiled;
 }
@@ -97,12 +97,12 @@ void BM_SlotSim_FcDpm(benchmark::State& state) {
 }
 BENCHMARK(BM_SlotSim_FcDpm);
 
-// Same runs through the hot engine (bit-identical results); the ratio
-// against BM_SlotSim_* is the single-run speedup tracked by
-// perf_harness / BENCH_core.json.
-void run_hot_sim(benchmark::State& state, sim::PolicyKind kind) {
+// Same runs through the batched engine at B = 1 (bit-identical
+// results); the ratio against BM_SlotSim_* is the single-run speedup
+// tracked by perf_harness / BENCH_core.json.
+void run_batched_sim(benchmark::State& state, sim::PolicyKind kind) {
   const sim::ExperimentConfig& config = config1();
-  const hot::CompiledTrace& compiled = compiled1();
+  const sim::CompiledTrace& compiled = compiled1();
   std::size_t slots = 0;
   for (auto _ : state) {
     dpm::PredictiveDpmPolicy dpm_policy = sim::make_dpm_policy(config);
@@ -111,7 +111,7 @@ void run_hot_sim(benchmark::State& state, sim::PolicyKind kind) {
     power::HybridPowerSource hybrid = sim::make_hybrid(config);
     sim::SimulationOptions options = config.simulation;
     const sim::SimulationResult r =
-        hot::simulate(compiled, dpm_policy, *fc, hybrid, options);
+        batch::simulate(compiled, dpm_policy, *fc, hybrid, options);
     benchmark::DoNotOptimize(r.totals.fuel);
     slots += r.slots;
   }
@@ -119,20 +119,20 @@ void run_hot_sim(benchmark::State& state, sim::PolicyKind kind) {
   state.SetLabel("items = task slots");
 }
 
-void BM_HotSim_Conv(benchmark::State& state) {
-  run_hot_sim(state, sim::PolicyKind::Conv);
+void BM_BatchedSim_Conv(benchmark::State& state) {
+  run_batched_sim(state, sim::PolicyKind::Conv);
 }
-BENCHMARK(BM_HotSim_Conv);
+BENCHMARK(BM_BatchedSim_Conv);
 
-void BM_HotSim_Asap(benchmark::State& state) {
-  run_hot_sim(state, sim::PolicyKind::Asap);
+void BM_BatchedSim_Asap(benchmark::State& state) {
+  run_batched_sim(state, sim::PolicyKind::Asap);
 }
-BENCHMARK(BM_HotSim_Asap);
+BENCHMARK(BM_BatchedSim_Asap);
 
-void BM_HotSim_FcDpm(benchmark::State& state) {
-  run_hot_sim(state, sim::PolicyKind::FcDpm);
+void BM_BatchedSim_FcDpm(benchmark::State& state) {
+  run_batched_sim(state, sim::PolicyKind::FcDpm);
 }
-BENCHMARK(BM_HotSim_FcDpm);
+BENCHMARK(BM_BatchedSim_FcDpm);
 
 void BM_TimedSim_FcDpm_10ms(benchmark::State& state) {
   const sim::ExperimentConfig& config = config1();
@@ -165,14 +165,14 @@ void BM_TraceCompilation(benchmark::State& state) {
   const sim::ExperimentConfig& config = config1();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        hot::CompiledTrace(config.trace, config.device));
+        sim::CompiledTrace(config.trace, config.device));
   }
 }
 BENCHMARK(BM_TraceCompilation);
 
-/// Allocations performed by one hot::simulate run over `ct` (policies
+/// Allocations performed by one batch::simulate run over `ct` (policies
 /// and hybrid are built outside the counted window).
-std::size_t allocations_per_run(const hot::CompiledTrace& ct) {
+std::size_t allocations_per_run(const sim::CompiledTrace& ct) {
   const sim::ExperimentConfig& config = config1();
   dpm::PredictiveDpmPolicy dpm_policy = sim::make_dpm_policy(config);
   const std::unique_ptr<core::FcOutputPolicy> fc =
@@ -181,7 +181,7 @@ std::size_t allocations_per_run(const hot::CompiledTrace& ct) {
   const sim::SimulationOptions options = config.simulation;
   const std::size_t before = g_allocations.load(std::memory_order_relaxed);
   const sim::SimulationResult r =
-      hot::simulate(ct, dpm_policy, *fc, hybrid, options);
+      batch::simulate(ct, dpm_policy, *fc, hybrid, options);
   benchmark::DoNotOptimize(r.totals.fuel);
   return g_allocations.load(std::memory_order_relaxed) - before;
 }
@@ -197,8 +197,8 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
 
   // Self-check (exit 1 on regression): the steady-state slot loop of
-  // hot::simulate must not allocate. Per-run setup (result strings,
-  // the moved-out record buffer) may cost a fixed number of
+  // batch::simulate must not allocate. Per-run setup (result strings,
+  // the lane and state columns) may cost a fixed number of
   // allocations, so the gate compares a 1x trace against a 10x tiling
   // of the same slots under identical names: any per-slot heap traffic
   // shows up as a higher count on the long run.
@@ -211,8 +211,8 @@ int main(int argc, char** argv) {
   }
   const wl::Trace short_trace("alloc-check", slots);
   const wl::Trace long_trace("alloc-check", std::move(tiled));
-  const hot::CompiledTrace short_compiled(short_trace, config1().device);
-  const hot::CompiledTrace long_compiled(long_trace, config1().device);
+  const sim::CompiledTrace short_compiled(short_trace, config1().device);
+  const sim::CompiledTrace long_compiled(long_trace, config1().device);
 
   (void)allocations_per_run(short_compiled);  // warm lazy init, if any
   (void)allocations_per_run(long_compiled);
@@ -220,7 +220,7 @@ int main(int argc, char** argv) {
   const std::size_t long_allocs = allocations_per_run(long_compiled);
   if (long_allocs != short_allocs) {
     std::fprintf(stderr,
-                 "FAIL: hot::simulate allocated %zu times over %zu slots "
+                 "FAIL: batch::simulate allocated %zu times over %zu slots "
                  "but %zu times over %zu slots — the steady-state slot "
                  "loop is no longer allocation-free\n",
                  short_allocs, short_trace.size(), long_allocs,
@@ -228,7 +228,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf(
-      "hot::simulate steady-state loop allocation-free (%zu fixed "
+      "batch::simulate steady-state loop allocation-free (%zu fixed "
       "allocations per run at both %zu and %zu slots)\n",
       short_allocs, short_trace.size(), long_trace.size());
   return 0;

@@ -14,7 +14,7 @@
 #include "core/quantized_optimizer.hpp"
 #include "core/slot_optimizer.hpp"
 #include "dpm/predictors.hpp"
-#include "hot/polarization_table.hpp"
+#include "fuelcell/polarization_table.hpp"
 #include "power/fc_system.hpp"
 
 // Global allocation counter: the per-slot hot path must be free of
@@ -158,7 +158,7 @@ BENCHMARK(BM_PhysicalFuelCurrent);
 void BM_PolarizationTable(benchmark::State& state) {
   const power::PhysicalFuelSource source(power::FcSystem::paper_system(),
                                          Ampere(0.1));
-  const hot::PolarizationTable table(
+  const fc::PolarizationTable table(
       source, static_cast<std::size_t>(state.range(0)));
   double i = 0.15;
   for (auto _ : state) {

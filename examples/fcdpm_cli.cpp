@@ -54,9 +54,6 @@
 #include "fault/schedule.hpp"
 #include "batch/engine.hpp"
 #include "batch/lifetime.hpp"
-#include "hot/compiled_trace.hpp"
-#include "hot/engine.hpp"
-#include "hot/lifetime.hpp"
 #include "obs/context.hpp"
 #include "par/sweep.hpp"
 #include "par/worker_pool.hpp"
@@ -201,13 +198,11 @@ sim::ExperimentConfig build_config(const Options& options) {
       number_or(options, "initial", config.initial_storage.value()));
   config.simulation.initial_storage = config.initial_storage;
   const std::string engine = option_or(options, "engine", "reference");
-  if (engine == "hot") {
-    config.simulation.engine = sim::Engine::Hot;
-  } else if (engine == "batched") {
+  if (engine == "batched") {
     config.simulation.engine = sim::Engine::Batched;
   } else if (engine != "reference") {
     throw std::runtime_error("unknown engine: " + engine +
-                             " (use reference|hot|batched)");
+                             " (use reference|batched)");
   }
   const std::string cap = option_or(options, "cap", "off");
   if (cap == "on") {
@@ -249,8 +244,12 @@ sim::ExperimentConfig build_config(const Options& options) {
     if (options.find("faults") != options.end()) {
       throw std::runtime_error(
           "--engine batched: incompatible with --faults (fault injection "
-          "is not modelled by the batch loop; use --engine hot or "
-          "--engine reference)");
+          "is not modelled by the batch loop; use --engine reference)");
+    }
+    if (config.cap.enabled) {
+      throw std::runtime_error(
+          "--engine batched: incompatible with --cap on (the batch loop "
+          "runs no power-cap governor; use --engine reference)");
     }
     if (config.audit.mode == audit::Mode::Strict) {
       throw std::runtime_error(
@@ -281,47 +280,54 @@ sim::ExperimentConfig build_config(const Options& options) {
   return config;
 }
 
-/// sim::run_policy with the engine honoured: `--engine hot` compiles
-/// the trace and runs hot::simulate (bit-identical to the reference;
-/// ineligible configurations fall back inside hot::simulate), and
-/// `--engine batched` runs batch::simulate (a B = 1 batch, same
-/// fallback chain). With `--audit` on, the compiled run carries a
-/// fail-fast auditor; a violation self-heals by replaying the run on
-/// the reference engine (tamper hook cleared — it models a compiled-
-/// engine defect) and recording an engine_fallback in the result's
-/// AuditStats.
+/// Observed runs execute on the reference loop (the batch loop carries
+/// no observer plumbing), so the single-run commands refuse
+/// `--engine batched` with an observability flag instead of silently
+/// switching engines. sweep never attaches its observer to a run.
+void reject_observed_batched(const Options& options,
+                             const sim::ExperimentConfig& config) {
+  if (config.simulation.engine != sim::Engine::Batched) {
+    return;
+  }
+  for (const char* flag : {"trace-out", "metrics-out", "profile-out"}) {
+    if (options.find(flag) != options.end()) {
+      throw std::runtime_error(
+          std::string("--engine batched: incompatible with --") + flag +
+          " (observed runs execute on the reference loop; use --engine "
+          "reference)");
+    }
+  }
+}
+
+/// sim::run_policy with the engine honoured: `--engine batched`
+/// compiles the trace and runs batch::simulate (a B = 1 batch,
+/// bit-identical to the reference). With `--audit` on, the batched run
+/// carries a fail-fast auditor; a violation self-heals by replaying the
+/// run on the reference engine (tamper hook cleared — it models a
+/// batched-engine defect) and recording an engine_fallback in the
+/// result's AuditStats.
 sim::SimulationResult run_policy_with_engine(
     sim::PolicyKind kind, const sim::ExperimentConfig& config) {
-  const bool batched = config.simulation.engine == sim::Engine::Batched;
-  if (config.simulation.engine != sim::Engine::Hot && !batched) {
+  if (config.simulation.engine != sim::Engine::Batched) {
     return sim::run_policy(kind, config);
   }
   std::optional<audit::AuditStats> failed_stats;
-  const auto run_hot = [&]() {
+  const auto run_batched = [&]() {
     dpm::PredictiveDpmPolicy dpm_policy = sim::make_dpm_policy(config);
     const std::unique_ptr<core::FcOutputPolicy> fc_policy =
         sim::make_fc_policy(kind, config);
     power::HybridPowerSource hybrid = sim::make_hybrid(config);
     sim::SimulationOptions sim_options = config.simulation;
     sim_options.initial_storage = config.initial_storage;
-    std::optional<cap::Governor> governor;
-    if (config.cap.enabled && sim_options.governor == nullptr) {
-      governor.emplace(cap::make_governor(config.cap, config.efficiency));
-      sim_options.governor = &*governor;
-    }
     std::optional<audit::Auditor> auditor;
     if (config.audit.enabled() && sim_options.auditor == nullptr) {
       auditor.emplace(config.audit, /*fail_fast=*/true);
       sim_options.auditor = &*auditor;
     }
-    const hot::CompiledTrace compiled(config.trace, config.device);
+    const sim::CompiledTrace compiled(config.trace, config.device);
     try {
-      if (batched) {
-        return batch::simulate(compiled, dpm_policy, *fc_policy, hybrid,
-                               sim_options);
-      }
-      return hot::simulate(compiled, dpm_policy, *fc_policy, hybrid,
-                           sim_options);
+      return batch::simulate(compiled, dpm_policy, *fc_policy, hybrid,
+                             sim_options);
     } catch (const audit::AuditError&) {
       if (auditor.has_value()) {
         failed_stats = auditor->stats();
@@ -330,7 +336,7 @@ sim::SimulationResult run_policy_with_engine(
     }
   };
   try {
-    return run_hot();
+    return run_batched();
   } catch (const audit::AuditError&) {
     // Self-heal: replay on the reference engine. The simulators reset
     // any attached fault injector at run start, so the shared pointers
@@ -518,7 +524,6 @@ class TelemetrySession {
     t.done = snap.done;
     t.retried = snap.retried;
     t.quarantined = snap.quarantined;
-    t.hot_dispatches = snap.hot_dispatches;
     t.reference_dispatches = snap.reference_dispatches;
     t.batched_dispatches = snap.batched_dispatches;
     t.heartbeats = snap.heartbeats;
@@ -539,7 +544,6 @@ class TelemetrySession {
       row.done = w.done;
       row.retried = w.retried;
       row.quarantined = w.quarantined;
-      row.hot_dispatches = w.hot_dispatches;
       row.reference_dispatches = w.reference_dispatches;
       row.batched_dispatches = w.batched_dispatches;
       row.heartbeats = w.heartbeats;
@@ -729,6 +733,7 @@ void print_result(const sim::SimulationResult& result) {
 
 int cmd_run(const Options& options) {
   sim::ExperimentConfig config = build_config(options);
+  reject_observed_batched(options, config);
   const sim::PolicyKind kind =
       parse_policy(option_or(options, "policy", "fcdpm"));
   ObsSession obs(options);
@@ -756,6 +761,7 @@ int cmd_run(const Options& options) {
 
 int cmd_compare(const Options& options) {
   sim::ExperimentConfig config = build_config(options);
+  reject_observed_batched(options, config);
   ObsSession obs(options);
   const std::unique_ptr<fault::FaultInjector> faults =
       make_fault_injector(options, config.trace);
@@ -765,7 +771,7 @@ int cmd_compare(const Options& options) {
   if (obs.context() != nullptr ||
       config.simulation.engine != sim::Engine::Reference) {
     // Re-run per policy so each lands on its own trace track (and so
-    // the hot engine is honoured per run).
+    // the batched engine is honoured per run).
     config.simulation.observer = obs.context();
     sim::SimulationResult* const results[] = {&c.conv, &c.asap, &c.fcdpm};
     const sim::PolicyKind kinds[] = {sim::PolicyKind::Conv,
@@ -814,6 +820,7 @@ int cmd_compare(const Options& options) {
 
 int cmd_lifetime(const Options& options) {
   sim::ExperimentConfig config = build_config(options);
+  reject_observed_batched(options, config);
   const sim::PolicyKind kind =
       parse_policy(option_or(options, "policy", "fcdpm"));
   const Coulomb tank(number_or(options, "tank", 10000.0));
@@ -834,13 +841,9 @@ int cmd_lifetime(const Options& options) {
   lifetime_options.simulation = config.simulation;
   sim::LifetimeResult r;
   if (config.simulation.engine == sim::Engine::Batched) {
-    const hot::CompiledTrace compiled(config.trace, config.device);
+    const sim::CompiledTrace compiled(config.trace, config.device);
     r = batch::measure_lifetime(compiled, dpm_policy, *fc_policy, hybrid,
                                 lifetime_options);
-  } else if (config.simulation.engine == sim::Engine::Hot) {
-    const hot::CompiledTrace compiled(config.trace, config.device);
-    r = hot::measure_lifetime(compiled, dpm_policy, *fc_policy, hybrid,
-                              lifetime_options);
   } else {
     r = sim::measure_lifetime(config.trace, dpm_policy, *fc_policy, hybrid,
                               lifetime_options);
@@ -1489,8 +1492,8 @@ int cmd_sweep(const Options& options) {
   return 0;
 }
 
-/// Divergence bisection: binary-search the first slot where the hot
-/// engine disagrees with the reference and dump a minimized repro.
+/// Divergence bisection: binary-search the first slot where the
+/// batched engine disagrees with the reference and dump a minimized repro.
 /// Exit 0 either way — finding (or excluding) a divergence is the
 /// tool's successful outcome; tests and CI parse the report.
 int cmd_bisect(const Options& options) {
@@ -1517,9 +1520,9 @@ int cmd_bisect(const Options& options) {
   std::printf("  reference   : fuel %.17g A-s | storage end %.17g A-s\n",
               report.reference.totals.fuel.value(),
               report.reference.storage_end.value());
-  std::printf("  hot         : fuel %.17g A-s | storage end %.17g A-s\n",
-              report.hot.totals.fuel.value(),
-              report.hot.storage_end.value());
+  std::printf("  batched     : fuel %.17g A-s | storage end %.17g A-s\n",
+              report.batched.totals.fuel.value(),
+              report.batched.storage_end.value());
   const std::string out = option_or(options, "repro-out", "");
   if (!out.empty()) {
     audit::write_repro(out, config, kind, report);
@@ -1603,27 +1606,29 @@ int usage() {
       "                                 totals the whole sweep\n"
       "           [--progress-interval-ms MS]  sampler period (200)\n"
       "  bisect   [--policy ...] [--trace f.csv | --kind ...]\n"
-      "           [--perturb-slot K]   synthetic hot-engine defect at\n"
+      "           [--perturb-slot K]   synthetic batched-engine defect at\n"
       "                                 slot K (test hook / CI smoke)\n"
       "           [--repro-out prefix] write prefix.json (entry state +\n"
       "                                 bit patterns) and\n"
       "                                 prefix_window.csv (runnable\n"
       "                                 trace window)\n"
-      "           binary-search the first slot where the hot engine\n"
-      "           diverges from the reference\n"
+      "           binary-search the first slot where the batched\n"
+      "           engine diverges from the reference\n"
       "  aggregate --out f.csv [--defer S] [--trace ... | --kind ...]\n"
       "  merge    <out.csv> <in1.csv> <in2.csv> [...]\n"
       "run/compare/lifetime/sweep also accept:\n"
-      "  --engine reference|hot|batched\n"
+      "  --engine reference|batched\n"
       "                        simulation engine (default reference;\n"
-      "                        hot = compiled-trace fast path, batched =\n"
-      "                        multi-point SoA batch loop for sweeps with\n"
-      "                        prefix-sharing across capacities; both\n"
-      "                        bit-identical results). batched rejects\n"
-      "                        --faults and --audit strict\n"
+      "                        batched = compiled-trace SoA batch loop,\n"
+      "                        one lane per run, prefix-sharing across\n"
+      "                        capacities in sweeps; bit-identical\n"
+      "                        results). batched rejects --faults,\n"
+      "                        --cap on, --audit strict and, outside\n"
+      "                        sweep, --trace-out/--metrics-out/\n"
+      "                        --profile-out\n"
       "  --trace-out f.json    Chrome/Perfetto trace (f.jsonl for JSONL)\n"
       "  --metrics-out f.csv   metrics registry dump (f.json for JSON)\n"
-      "  --profile-out f.csv   wall-clock hot-path profile\n"
+      "  --profile-out f.csv   wall-clock profile of the reference loop\n"
       "  --faults SPEC         inject faults; SPEC is an inline schedule\n"
       "                        (kind@start[:dur][xmag], e.g.\n"
       "                        converter_dropout@120:30,brownout@400x0.5),\n"
@@ -1654,14 +1659,14 @@ int usage() {
       "                        runtime invariant auditing (default off;\n"
       "                        results stay bit-identical): fuel-burn\n"
       "                        integral reconciliation, storage bounds,\n"
-      "                        cap budget, stack wear. A hot-engine\n"
+      "                        cap budget, stack wear. A batched-engine\n"
       "                        violation self-heals: the run replays on\n"
       "                        the reference engine and records an\n"
       "                        engine_fallback\n"
       "  --audit-sample-period N\n"
       "                        sample mode checks every Nth slot (16)\n"
       "  --audit-tamper-slot K test hook: corrupt the auditor's observed\n"
-      "                        integral at slot K on the hot lane\n"
+      "                        integral at slot K on the batched lane\n"
       "                        (exercises the self-heal path)\n");
   return 1;
 }

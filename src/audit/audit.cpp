@@ -253,16 +253,16 @@ void Auditor::on_run_end(const EndAudit& view) {
   }
 }
 
-void record_engine_fallback(AuditStats& into, const AuditStats& hot_run) {
-  into.engine_fallbacks += 1 + hot_run.engine_fallbacks;
-  into.violations += hot_run.violations;
-  into.fuel_violations += hot_run.fuel_violations;
-  into.storage_violations += hot_run.storage_violations;
-  into.cap_violations += hot_run.cap_violations;
-  into.stacks_violations += hot_run.stacks_violations;
-  if (into.first_violation.empty() && !hot_run.first_violation.empty()) {
-    into.first_violation = hot_run.first_violation;
-    into.first_violation_slot = hot_run.first_violation_slot;
+void record_engine_fallback(AuditStats& into, const AuditStats& failed) {
+  into.engine_fallbacks += 1 + failed.engine_fallbacks;
+  into.violations += failed.violations;
+  into.fuel_violations += failed.fuel_violations;
+  into.storage_violations += failed.storage_violations;
+  into.cap_violations += failed.cap_violations;
+  into.stacks_violations += failed.stacks_violations;
+  if (into.first_violation.empty() && !failed.first_violation.empty()) {
+    into.first_violation = failed.first_violation;
+    into.first_violation_slot = failed.first_violation_slot;
   }
 }
 

@@ -20,7 +20,7 @@
 // `strict` checks every slot and segment. A violation either
 // accumulates into AuditStats (reference engine, sample mode) or throws
 // AuditError (fail-fast) — the dispatchers (par::run_point, the CLI)
-// catch a hot-engine AuditError and *self-heal* by replaying the point
+// catch a batched-engine AuditError and *self-heal* by replaying the point
 // on the reference engine, recording an `engine_fallback` in the
 // result's AuditStats; a reference-engine AuditError propagates into
 // the resilience layer's PointError taxonomy (contract_violation ->
@@ -62,7 +62,8 @@ struct AuditSpec {
   /// Test hook: at this slot the auditor corrupts its *observed* copy
   /// of the delivered-charge integral before checking it, emulating a
   /// broken engine on an otherwise healthy run. Dispatchers apply it
-  /// only to the hot-lane auditor (it models a hot-engine defect), so
+  /// only to the batched-lane auditor (it models a batched-engine
+  /// defect), so
   /// the self-heal replay on the reference engine runs clean. npos
   /// disables the hook.
   std::size_t tamper_slot = npos;
@@ -93,7 +94,7 @@ struct AuditStats {
   std::uint64_t storage_violations = 0;
   std::uint64_t cap_violations = 0;
   std::uint64_t stacks_violations = 0;
-  /// Hot-engine runs replayed on the reference engine after a
+  /// Batched-engine runs replayed on the reference engine after a
   /// violation (recorded by the dispatcher, not the auditor).
   std::uint64_t engine_fallbacks = 0;
   /// Slot of the first violation (npos when clean; the run-end checks
@@ -143,7 +144,7 @@ struct EndAudit {
 class Auditor {
  public:
   /// `fail_fast` makes the first violation throw AuditError after it
-  /// is recorded. Dispatchers set it for hot-lane runs (so they can
+  /// is recorded. Dispatchers set it for batched-lane runs (so they can
   /// self-heal) and for strict reference runs (so the resilience layer
   /// quarantines); a sample-mode reference run records and continues.
   explicit Auditor(const AuditSpec& spec, bool fail_fast = false);
@@ -203,9 +204,9 @@ class Auditor {
   bool saw_segments_ = false;
 };
 
-/// Fold a failed hot-lane audit into the replayed run's stats: carries
-/// the hot auditor's violation counters over (so the event stays
-/// visible) and counts one engine fallback.
-void record_engine_fallback(AuditStats& into, const AuditStats& hot_run);
+/// Fold a failed batched-lane audit into the replayed run's stats:
+/// carries the failed auditor's violation counters over (so the event
+/// stays visible) and counts one engine fallback.
+void record_engine_fallback(AuditStats& into, const AuditStats& failed);
 
 }  // namespace fcdpm::audit

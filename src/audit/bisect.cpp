@@ -4,13 +4,11 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <optional>
 #include <vector>
 
-#include "cap/governor.hpp"
+#include "batch/engine.hpp"
 #include "common/atomic_file.hpp"
 #include "common/contracts.hpp"
-#include "hot/engine.hpp"
 #include "workload/trace_io.hpp"
 
 namespace fcdpm::audit {
@@ -37,8 +35,8 @@ namespace {
                    std::move(slots));
 }
 
-/// One fresh engine run over a trace prefix: fresh policies, hybrid
-/// and (when configured) governor, no faults, no observers.
+/// One fresh engine run over a trace prefix: fresh policies and
+/// hybrid, no faults, no observers, no governor.
 [[nodiscard]] sim::SimulationResult run_prefix(
     const sim::ExperimentConfig& config, sim::PolicyKind policy,
     std::size_t prefix, sim::Engine engine, std::size_t perturb_slot) {
@@ -57,14 +55,10 @@ namespace {
 
   sim::SimulationOptions options = local.simulation;
   options.initial_storage = local.initial_storage;
-  std::optional<cap::Governor> governor;
-  if (local.cap.enabled) {
-    governor.emplace(cap::make_governor(local.cap, local.efficiency));
-    options.governor = &*governor;
-  }
-  if (engine == sim::Engine::Hot) {
-    const hot::CompiledTrace compiled(local.trace, local.device);
-    return hot::simulate(compiled, dpm_policy, *fc_policy, hybrid, options);
+  if (engine == sim::Engine::Batched) {
+    const sim::CompiledTrace compiled(local.trace, local.device);
+    return batch::simulate(compiled, dpm_policy, *fc_policy, hybrid,
+                           options);
   }
   return sim::simulate(local.trace, dpm_policy, *fc_policy, hybrid, options);
 }
@@ -123,16 +117,20 @@ BisectReport bisect_point(const sim::ExperimentConfig& config,
                           sim::PolicyKind policy,
                           const BisectOptions& options) {
   FCDPM_EXPECTS(!config.trace.empty(), "bisect needs a non-empty trace");
+  // A governed run never reaches the batch loop, so both sides would be
+  // the reference loop and the search could not find anything.
+  FCDPM_EXPECTS(!config.cap.enabled,
+                "bisect compares the batch loop, which runs no governor");
   const std::size_t n = config.trace.size();
 
   BisectReport report;
   const auto diverges = [&](std::size_t prefix) {
     report.reference = run_prefix(config, policy, prefix,
                                   sim::Engine::Reference, npos);
-    report.hot = run_prefix(config, policy, prefix, sim::Engine::Hot,
-                            options.perturb_slot);
+    report.batched = run_prefix(config, policy, prefix,
+                                sim::Engine::Batched, options.perturb_slot);
     ++report.runs;
-    return !same_run_bits(report.reference, report.hot);
+    return !same_run_bits(report.reference, report.batched);
   };
 
   if (!diverges(n)) {
@@ -194,7 +192,7 @@ void write_repro(const std::string& path_prefix,
   out += "  },\n";
   emit_engine_block(out, "reference", report.reference);
   out += ",\n";
-  emit_engine_block(out, "hot", report.hot);
+  emit_engine_block(out, "batched", report.batched);
   out += "\n}\n";
   write_file_atomic(path_prefix + ".json", out);
 

@@ -1,5 +1,5 @@
-// Divergence bisection: given a (config, policy) whose hot-engine run
-// does not bit-match the reference engine, binary-search the shortest
+// Divergence bisection: given a (config, policy) whose batched-engine
+// run does not bit-match the reference engine, binary-search the shortest
 // trace prefix that still diverges — its last slot is the first slot
 // where the engines disagree — and dump a minimized repro (the trace
 // window around the slot plus the entry state), turning a CI identity
@@ -20,8 +20,8 @@
 namespace fcdpm::audit {
 
 struct BisectOptions {
-  /// Synthetic hot-engine defect (test hook / CI smoke): the hot
-  /// runner's trace copy gets this slot's active duration scaled by
+  /// Synthetic batched-engine defect (test hook / CI smoke): the
+  /// batched runner's trace copy gets this slot's active duration scaled by
   /// (1 + 2^-30), so the engines genuinely diverge starting at this
   /// slot on an otherwise healthy build. npos = off.
   std::size_t perturb_slot = npos;
@@ -36,7 +36,7 @@ struct BisectReport {
   std::size_t runs = 0;
   /// Both engines' results at the minimal divergent prefix.
   sim::SimulationResult reference;
-  sim::SimulationResult hot;
+  sim::SimulationResult batched;
   /// Reference-engine state entering the divergent slot (end of the
   /// prefix that still agrees).
   double entry_fuel_as = 0.0;
@@ -49,8 +49,10 @@ struct BisectReport {
 [[nodiscard]] bool same_run_bits(const sim::SimulationResult& a,
                                  const sim::SimulationResult& b) noexcept;
 
-/// Run the search. Faults and observers are never attached (bisect
-/// targets the clean-path engines); capping follows the config.
+/// Run the search. Faults, observers and governors are never attached
+/// (bisect targets the clean-path engines); a config with capping
+/// enabled is refused (checked), since it would compare the reference
+/// loop with itself.
 [[nodiscard]] BisectReport bisect_point(const sim::ExperimentConfig& config,
                                         sim::PolicyKind policy,
                                         const BisectOptions& options = {});

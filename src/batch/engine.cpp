@@ -8,7 +8,6 @@
 
 #include "batch/state.hpp"
 #include "common/contracts.hpp"
-#include "hot/engine.hpp"
 #include "sim/cancellation.hpp"
 
 namespace fcdpm::batch {
@@ -17,7 +16,7 @@ namespace {
 
 /// Concrete-policy dispatch tag: the slot loop is instantiated per
 /// shipped policy so segment_setpoint and the slot callbacks
-/// devirtualize, exactly like the hot engine's run_lane.
+/// devirtualize; Generic keeps the virtual calls.
 enum class Kind { FcDpm, Asap, Conv, Oracle, Generic };
 
 [[nodiscard]] Kind kind_of(core::FcOutputPolicy& fc) {
@@ -64,7 +63,7 @@ struct MergeSet {
 
 class BatchRunner {
  public:
-  BatchRunner(const hot::CompiledTrace& ct, dpm::DpmPolicy& dpm_policy,
+  BatchRunner(const sim::CompiledTrace& ct, dpm::DpmPolicy& dpm_policy,
               const std::vector<BatchLaneSpec>& specs,
               const sim::SimulationOptions& shared,
               BatchStats* stats, bool propagate)
@@ -320,8 +319,7 @@ class BatchRunner {
 
   /// sim::run_segment with the SoA column substituted for the hybrid:
   /// split where the buffer fills (stop_charging_when_full), then load
-  /// following for the remainder. Same expressions as the reference and
-  /// the hot lane.
+  /// following for the remainder. Same expressions as the reference.
   void run_with_setpoint(std::size_t col, const core::SegmentSetpoint& sp,
                          Ampere device_current, Seconds duration,
                          Coulomb& if_dt, bool& capacity_sensitive) {
@@ -432,7 +430,7 @@ class BatchRunner {
     lane.auditor->on_slot(view);
   }
 
-  /// The hot engine's per-slot body for one unmerged lane.
+  /// The reference loop's per-slot body for one unmerged lane.
   template <typename Fc>
   void solo_slot(Lane& lane, Fc& fc, std::size_t k) {
     const std::size_t col = lane.col;
@@ -979,7 +977,7 @@ class BatchRunner {
     stats_->splits += splits_;
   }
 
-  const hot::CompiledTrace& ct_;
+  const sim::CompiledTrace& ct_;
   dpm::DpmPolicy& dpm_;
   const sim::SimulationOptions& shared_;
   BatchStats* stats_ = nullptr;
@@ -1012,7 +1010,7 @@ class BatchRunner {
   dpm::InlineIdlePlan plan_;
 };
 
-std::vector<LaneOutcome> run_batch_impl(const hot::CompiledTrace& trace,
+std::vector<LaneOutcome> run_batch_impl(const sim::CompiledTrace& trace,
                                         dpm::DpmPolicy& dpm_policy,
                                         const std::vector<BatchLaneSpec>& lanes,
                                         const sim::SimulationOptions& shared,
@@ -1025,24 +1023,23 @@ std::vector<LaneOutcome> run_batch_impl(const hot::CompiledTrace& trace,
 
 bool lane_eligible(const power::HybridPowerSource& hybrid,
                    const sim::SimulationOptions& options) {
-  if (!hot::lane_eligible(hybrid, options)) {
+  // The batch loop carries no fault, observer, profile or governor
+  // plumbing: each of those runs on the reference loop.
+  if (options.faults != nullptr || options.record_profiles ||
+      options.governor != nullptr ||
+      (options.observer != nullptr && options.observer->active())) {
     return false;
   }
-  // Unlike the hot lane, the batch loop carries no profiler scopes and
-  // no governor plumbing: any active observer or cap governor routes to
-  // the hot engine instead.
-  if (options.observer != nullptr && options.observer->active()) {
+  if (hybrid.fault_injector() != nullptr || hybrid.observer() != nullptr) {
     return false;
   }
-  if (options.governor != nullptr) {
-    return false;
-  }
-  // The hot lane tolerates a pre-attached hybrid observer when the run
-  // replaces it; the batch loop never attaches observers at all.
-  return hybrid.observer() == nullptr;
+  return dynamic_cast<const power::LinearFuelSource*>(&hybrid.source()) !=
+             nullptr &&
+         dynamic_cast<const power::SuperCapacitor*>(&hybrid.storage()) !=
+             nullptr;
 }
 
-std::vector<LaneOutcome> run_batch(const hot::CompiledTrace& trace,
+std::vector<LaneOutcome> run_batch(const sim::CompiledTrace& trace,
                                    dpm::DpmPolicy& dpm_policy,
                                    const std::vector<BatchLaneSpec>& lanes,
                                    const sim::SimulationOptions& shared,
@@ -1051,13 +1048,18 @@ std::vector<LaneOutcome> run_batch(const hot::CompiledTrace& trace,
                         /*propagate=*/false);
 }
 
-sim::SimulationResult simulate(const hot::CompiledTrace& trace,
+sim::SimulationResult simulate(const sim::CompiledTrace& trace,
                                dpm::DpmPolicy& dpm_policy,
                                core::FcOutputPolicy& fc_policy,
                                power::HybridPowerSource& hybrid,
                                const sim::SimulationOptions& options) {
   if (!lane_eligible(hybrid, options)) {
-    return hot::simulate(trace, dpm_policy, fc_policy, hybrid, options);
+    const dpm::DevicePowerModel& device = dpm_policy.device();
+    device.validate();
+    FCDPM_EXPECTS(trace.compatible_with(device),
+                  "compiled trace was built against a different device model");
+    return sim::simulate(trace.trace(), dpm_policy, fc_policy, hybrid,
+                         options);
   }
   std::vector<BatchLaneSpec> lanes(1);
   lanes[0].fc = &fc_policy;

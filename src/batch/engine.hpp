@@ -1,4 +1,4 @@
-// fcdpm::batch — the multi-point batched engine.
+// fcdpm::batch — the fast engine: a multi-point batched slot loop.
 //
 // run_batch advances B sweep points *simultaneously* through a single
 // slot loop over point-major SoA state (BatchState). Points that share
@@ -16,9 +16,10 @@
 // running that point alone on the reference engine.
 //
 // batch::simulate is the single-run entry (Engine::Batched): a B = 1
-// batch, delegating to hot::simulate for configurations the batch loop
-// does not mirror (observers, governors, anything hot itself falls back
-// on) — calling it is always safe; eligibility only picks the loop.
+// batch, delegating to sim::simulate for configurations the batch loop
+// does not mirror (faults, observers, governors, profile recording,
+// non-paper sources) — calling it is always safe; eligibility only
+// picks the loop.
 #pragma once
 
 #include <cstddef>
@@ -27,8 +28,8 @@
 #include "audit/audit.hpp"
 #include "core/fc_policy.hpp"
 #include "dpm/dpm_policy.hpp"
-#include "hot/compiled_trace.hpp"
 #include "power/hybrid.hpp"
+#include "sim/compiled_trace.hpp"
 #include "sim/slot_simulator.hpp"
 
 namespace fcdpm::batch {
@@ -38,7 +39,7 @@ namespace fcdpm::batch {
 struct BatchLaneSpec {
   core::FcOutputPolicy* fc = nullptr;
   power::HybridPowerSource* hybrid = nullptr;
-  /// Per-lane auditor (fail-fast for batched lanes, like hot lanes):
+  /// Per-lane auditor (fail-fast for batched lanes):
   /// a violation ejects the lane with End::AuditFailed; the caller
   /// self-heals by replaying on the reference engine.
   audit::Auditor* auditor = nullptr;
@@ -70,9 +71,11 @@ struct BatchStats {
   std::size_t splits = 0;
 };
 
-/// True when (hybrid, options) can take the batch loop: hot-lane
-/// eligible, no observer at all (even profiler-only: the batch loop has
-/// no per-phase profile scopes), and no cap governor.
+/// True when (hybrid, options) can take the batch loop: no fault
+/// injector, no active observer (even profiler-only: the batch loop has
+/// no per-phase profile scopes), no cap governor, no profile recording,
+/// no observer attached to the hybrid, and the hybrid is the paper
+/// configuration (LinearFuelSource + SuperCapacitor).
 [[nodiscard]] bool lane_eligible(const power::HybridPowerSource& hybrid,
                                  const sim::SimulationOptions& options);
 
@@ -89,17 +92,18 @@ struct BatchStats {
 /// guarantee eligibility go through batch::simulate or par::run_sweep,
 /// which fall back per point.
 [[nodiscard]] std::vector<LaneOutcome> run_batch(
-    const hot::CompiledTrace& trace, dpm::DpmPolicy& dpm_policy,
+    const sim::CompiledTrace& trace, dpm::DpmPolicy& dpm_policy,
     const std::vector<BatchLaneSpec>& lanes,
     const sim::SimulationOptions& shared, BatchStats* stats = nullptr);
 
 /// Single-run entry for Engine::Batched: a B = 1 batch when eligible,
-/// else hot::simulate (which itself falls back to the reference loop).
-/// Bit-identical to both in every case. Budget exhaustion and fail-fast
-/// audit violations throw exactly like the hot engine's single-run
-/// path (DeadlineExceededError / AuditError).
+/// else sim::simulate over trace.trace(). Bit-identical to the
+/// reference in every case. Budget exhaustion and fail-fast audit
+/// violations throw exactly like the reference loop
+/// (DeadlineExceededError / AuditError). The trace must have been
+/// compiled against the DPM policy's device model (checked).
 [[nodiscard]] sim::SimulationResult simulate(
-    const hot::CompiledTrace& trace, dpm::DpmPolicy& dpm_policy,
+    const sim::CompiledTrace& trace, dpm::DpmPolicy& dpm_policy,
     core::FcOutputPolicy& fc_policy, power::HybridPowerSource& hybrid,
     const sim::SimulationOptions& options = {});
 

@@ -1,16 +1,16 @@
 // Point-major SoA mirror of HybridPowerSource + SuperCapacitor state
 // for the batch engine: one column set, B lanes.
 //
-// Each lane holds exactly the fields hot::HybridLane keeps in registers
-// — charge, capacity, efficiency, the linear fuel model's constants and
-// the running totals — as contiguous arrays indexed by lane, so the
+// Each lane holds every field the segment integration touches — charge,
+// capacity, efficiency, the linear fuel model's constants and the
+// running totals — as contiguous arrays indexed by lane, so the
 // per-slot segment integration over a batch walks flat memory and
 // autovectorizes. run_segment() is HybridPowerSource::run_segment()
 // with the LinearFuelSource and SuperCapacitor arithmetic inlined, the
-// same expressions in the same order as the reference loop and the hot
-// lane, so per-lane results are bit-identical to both.
+// same expressions in the same order as the reference loop, so
+// per-lane results are bit-identical to it.
 //
-// Beyond the hot lane, run_segment() reports whether the segment's
+// Beyond the integration itself, run_segment() reports whether the segment's
 // outcome *depended on this lane's capacity* (the surplus path clamped
 // strictly: landable > headroom). That is the capacity-slack signal the
 // merge logic keys on: a leader segment that never clamps produces
@@ -93,8 +93,8 @@ class BatchState {
     fc_running_[lane] = hybrid.fc_running_ ? 1 : 0;
   }
 
-  /// HybridPowerSource::run_segment() inlined, fault-free path: the hot
-  /// lane's expressions, per lane. Returns the actual IF and sets
+  /// HybridPowerSource::run_segment() inlined, fault-free path: the
+  /// reference expressions, per lane. Returns the actual IF and sets
   /// `capacity_sensitive` iff the outcome depended on this lane's
   /// capacity (strict store clamp). `landable == headroom` is NOT
   /// sensitive: the landed charge is bit-equal either way.

@@ -24,9 +24,10 @@
 // above the computed budget; `CapStats::budget_violations` stays 0.
 //
 // Determinism: plan_slot is pure double arithmetic over its inputs and
-// the held state, evaluated in one fixed order — the reference and hot
-// engines call it with bit-identical inputs and get bit-identical
-// plans. With no governor attached, neither engine touches this file.
+// the held state, evaluated in one fixed order, so equal inputs give
+// bit-identical plans. Only the reference loop consults a governor (the
+// batched engine hands governed runs to it); with no governor attached,
+// no engine touches this file.
 #pragma once
 
 #include <cstddef>

@@ -43,7 +43,7 @@ struct IdlePlan {
 };
 
 /// Idle plan laid out into fixed inline storage — the allocation-free
-/// counterpart of IdlePlan for the hot engine (`fcdpm::hot`). Four
+/// counterpart of IdlePlan for the batched engine (`fcdpm::batch`). Four
 /// segments cover every layout the policies produce (the deepest is
 /// timeout shutdown: standby + power-down + sleep + wake-up).
 struct InlineIdlePlan {
@@ -93,7 +93,7 @@ class DpmPolicy {
   /// the decision — only the layout.
   [[nodiscard]] virtual IdlePlan plan_idle(Seconds actual_idle) = 0;
 
-  /// Allocation-free counterpart of plan_idle() for the hot engine: lay
+  /// Allocation-free counterpart of plan_idle() for the batched engine: lay
   /// the idle period out into caller-owned inline storage. Must make
   /// the same decision, mutate the same internal state, and produce the
   /// same segments as plan_idle() — the differential tests hold every

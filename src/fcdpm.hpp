@@ -14,7 +14,8 @@
 //   core     — slot optimizer(s), estimator, FC output policies
 //   dvs      — voltage/frequency scaling substrate
 //   audit    — runtime invariant auditing, divergence bisection (opt-in)
-//   sim      — simulators, experiments, lifetime, metrics
+//   sim      — simulators, experiments, lifetime, metrics, compiled traces
+//   batch    — the fast engine: SoA multi-point slot loop (B = 1 for one run)
 //   par      — worker pool, deterministic parallel sweep engine
 //   resilience — crash-safe journal/resume, retries, quarantine, watchdog
 //   report   — tables, series export, report assembly
@@ -39,6 +40,7 @@
 
 #include "fuelcell/fuel_model.hpp"
 #include "fuelcell/polarization.hpp"
+#include "fuelcell/polarization_table.hpp"
 #include "fuelcell/stack.hpp"
 
 #include "power/controller.hpp"
@@ -74,6 +76,7 @@
 #include "audit/audit.hpp"
 #include "audit/bisect.hpp"
 
+#include "sim/compiled_trace.hpp"
 #include "sim/experiments.hpp"
 #include "sim/lifetime.hpp"
 #include "sim/metrics.hpp"
@@ -82,11 +85,8 @@
 #include "sim/slot_simulator.hpp"
 #include "sim/timed_simulator.hpp"
 
-#include "hot/arena.hpp"
-#include "hot/compiled_trace.hpp"
-#include "hot/engine.hpp"
-#include "hot/lifetime.hpp"
-#include "hot/polarization_table.hpp"
+#include "batch/engine.hpp"
+#include "batch/lifetime.hpp"
 
 #include "par/bounded_queue.hpp"
 #include "par/sweep.hpp"

@@ -1,8 +1,8 @@
-#include "hot/polarization_table.hpp"
+#include "fuelcell/polarization_table.hpp"
 
 #include "common/contracts.hpp"
 
-namespace fcdpm::hot {
+namespace fcdpm::fc {
 
 PolarizationTable::PolarizationTable(const power::FuelSource& source,
                                      std::size_t samples) {
@@ -23,4 +23,4 @@ PolarizationTable::PolarizationTable(const power::FuelSource& source,
   }
 }
 
-}  // namespace fcdpm::hot
+}  // namespace fcdpm::fc

@@ -5,11 +5,12 @@
 // found iteratively per query, this trades a documented, bounded
 // interpolation error for a flat lookup cost.
 //
-// NOT bit-identical to the model it samples (the only knob in fcdpm::hot
-// that is not): the hot engine never substitutes it silently. It is an
-// opt-in surrogate for sweeps over the physical model, with its accuracy
-// bound pinned by tests/hot/test_polarization_table.cpp and its cost by
-// bench/perf_solvers.
+// NOT bit-identical to the model it samples: no engine substitutes it
+// silently. It is an opt-in surrogate for sweeps over the physical
+// model, with its accuracy bound pinned by
+// tests/fuelcell/test_polarization_table.cpp and its cost by
+// bench/perf_solvers. Only FuelSource's pure virtuals are called, so
+// the fuelcell library needs no link dependency on power.
 #pragma once
 
 #include <cstddef>
@@ -18,7 +19,7 @@
 #include "common/units.hpp"
 #include "power/hybrid.hpp"
 
-namespace fcdpm::hot {
+namespace fcdpm::fc {
 
 class PolarizationTable {
  public:
@@ -58,4 +59,4 @@ class PolarizationTable {
   double inv_step_ = 0.0;
 };
 
-}  // namespace fcdpm::hot
+}  // namespace fcdpm::fc

@@ -12,7 +12,6 @@
 #include "cap/governor.hpp"
 #include "fault/injector.hpp"
 #include "fault/schedule.hpp"
-#include "hot/engine.hpp"
 #include "par/worker_pool.hpp"
 #include "telemetry/sweep_telemetry.hpp"
 
@@ -67,7 +66,7 @@ SweepPointResult run_point(const sim::ExperimentConfig& base,
                            std::size_t storm_faults,
                            sim::CancellationToken* cancel,
                            std::size_t slot_budget,
-                           const hot::CompiledTrace* compiled) {
+                           const sim::CompiledTrace* compiled) {
   sim::ExperimentConfig config = base;
   config.rho = point.rho;
   config.storage_capacity = point.capacity;
@@ -84,10 +83,9 @@ SweepPointResult run_point(const sim::ExperimentConfig& base,
 
   // Everything stateful — policies, hybrid, injector, governor, auditor
   // — is rebuilt per attempt, so the self-heal replay below starts from
-  // the same clean state the hot attempt did.
+  // the same clean state the batched attempt did.
   std::optional<audit::AuditStats> failed_stats;
   const auto run_once = [&](sim::Engine engine, bool tamper_allowed,
-                            bool& ran_hot,
                             bool& ran_batched) -> sim::SimulationResult {
     dpm::PredictiveDpmPolicy dpm_policy = sim::make_dpm_policy(config);
     const std::unique_ptr<core::FcOutputPolicy> fc_policy =
@@ -115,52 +113,42 @@ SweepPointResult run_point(const sim::ExperimentConfig& base,
       options.governor = &*governor;
     }
 
-    const bool hot_engine = engine == sim::Engine::Hot;
-    const bool batched_engine = engine == sim::Engine::Batched;
+    // Mirror of batch::simulate's internal dispatch (storm faults and
+    // governors fall back to the reference loop), so each run is
+    // counted where it actually lands.
+    ran_batched = engine == sim::Engine::Batched &&
+                  batch::lane_eligible(hybrid, options);
     // The grid varies rho/capacity/seed but never the trace or device,
     // so one compiled trace serves every point. A direct caller without
     // one (the resilience retry path) compiles its own.
-    std::optional<hot::CompiledTrace> local;
-    const hot::CompiledTrace* trace = compiled;
-    if ((hot_engine || batched_engine) && trace == nullptr) {
+    std::optional<sim::CompiledTrace> local;
+    const sim::CompiledTrace* trace = compiled;
+    if (ran_batched && trace == nullptr) {
       local.emplace(config.trace, config.device);
       trace = &*local;
     }
-    // Mirror of the engines' internal dispatch: batch::simulate
-    // degrades to hot::simulate for batch-ineligible runs, and hot
-    // itself falls back to the reference interpreter (storm faults,
-    // attached observers), so count each run where it actually lands.
-    const bool batch_lane =
-        batched_engine && batch::lane_eligible(hybrid, options);
-    ran_batched = batch_lane;
-    ran_hot = (hot_engine || (batched_engine && !batch_lane)) &&
-              hot::lane_eligible(hybrid, options);
 
-    // The auditor is built after eligibility is known: hot and batched
-    // lanes always fail fast (the catch below self-heals them),
-    // reference runs fail fast only in strict mode (the escape is the
-    // resilience layer's contract_violation). Tamper models a compiled
-    // -engine defect, so it arms only on a hot or batched lane — and
-    // never on the replay.
+    // The auditor is built after eligibility is known: batched lanes
+    // always fail fast (the catch below self-heals them), reference
+    // runs fail fast only in strict mode (the escape is the resilience
+    // layer's contract_violation). Tamper models a batched-engine
+    // defect, so it arms only on a batched lane — and never on the
+    // replay.
     std::optional<audit::Auditor> auditor;
     if (config.audit.enabled()) {
       audit::AuditSpec spec = config.audit;
-      if (!((ran_hot || batch_lane) && tamper_allowed)) {
+      if (!(ran_batched && tamper_allowed)) {
         spec.tamper_slot = audit::npos;
       }
-      auditor.emplace(spec, ran_hot || batch_lane ||
-                                spec.mode == audit::Mode::Strict);
+      auditor.emplace(spec,
+                      ran_batched || spec.mode == audit::Mode::Strict);
       options.auditor = &*auditor;
     }
 
     try {
-      if (batched_engine) {
+      if (ran_batched) {
         return batch::simulate(*trace, dpm_policy, *fc_policy, hybrid,
                                options);
-      }
-      if (hot_engine) {
-        return hot::simulate(*trace, dpm_policy, *fc_policy, hybrid,
-                             options);
       }
       return sim::simulate(config.trace, dpm_policy, *fc_policy, hybrid,
                            options);
@@ -178,25 +166,25 @@ SweepPointResult run_point(const sim::ExperimentConfig& base,
   out.point = point;
   try {
     out.result = run_once(config.simulation.engine, /*tamper_allowed=*/true,
-                          out.ran_hot, out.ran_batched);
+                          out.ran_batched);
   } catch (const audit::AuditError&) {
-    if (!out.ran_hot && !out.ran_batched) {
+    if (!out.ran_batched) {
       // Reference-engine violation: nothing trusted to heal onto.
       throw;
     }
-    // Self-heal: the compiled lane broke an invariant, so replay the
+    // Self-heal: the batched lane broke an invariant, so replay the
     // point on the reference engine (fresh state, tamper disarmed) and
     // keep that result, recording the run's violations as a fallback.
-    const audit::AuditStats hot_stats = failed_stats.value_or(
+    const audit::AuditStats failed = failed_stats.value_or(
         audit::AuditStats{});
     failed_stats.reset();
     out.result = run_once(sim::Engine::Reference, /*tamper_allowed=*/false,
-                          out.ran_hot, out.ran_batched);
+                          out.ran_batched);
     if (!out.result.audit.has_value()) {
       out.result.audit.emplace();
       out.result.audit->mode = static_cast<int>(config.audit.mode);
     }
-    audit::record_engine_fallback(*out.result.audit, hot_stats);
+    audit::record_engine_fallback(*out.result.audit, failed);
   }
   return out;
 }
@@ -210,7 +198,7 @@ constexpr std::size_t kBatchMax = 16;
 
 // Points the batch loop can take directly; everything else (fault
 // storms, multi-stack sources) runs alone through run_point, which
-// still dispatches through batch::simulate's fallback chain.
+// still dispatches through batch::simulate's reference fallback.
 bool batch_point_eligible(const SweepPoint& point) {
   return point.storm_seed == 0 && point.stacks == 0;
 }
@@ -287,13 +275,13 @@ BatchPlan plan_batches(const std::vector<SweepPoint>& points) {
 // DPM policy (rho is constant within a task) and one slot loop. A lane
 // whose hybrid turns out batch-ineligible runs alone through run_point
 // instead, and a fail-fast audit violation self-heals exactly like
-// run_point's hot path: replay that point on the reference engine and
+// run_point's batched path: replay that point on the reference engine and
 // record the fallback. Writes each point's result at its grid index.
 void run_batch_chunk(const sim::ExperimentConfig& base,
                      const std::vector<SweepPoint>& points,
                      const std::vector<std::size_t>& chunk,
                      std::size_t storm_faults,
-                     const hot::CompiledTrace& compiled,
+                     const sim::CompiledTrace& compiled,
                      std::vector<SweepPointResult>& results,
                      batch::BatchStats& stats) {
   sim::ExperimentConfig config = base;
@@ -391,20 +379,19 @@ SweepResult run_sweep(const sim::ExperimentConfig& base,
 
   // Compile the trace once, up front, and share it read-only across all
   // workers (CompiledTrace is immutable after construction).
-  std::optional<hot::CompiledTrace> compiled;
-  if (base.simulation.engine == sim::Engine::Hot ||
-      base.simulation.engine == sim::Engine::Batched) {
+  std::optional<sim::CompiledTrace> compiled;
+  if (base.simulation.engine == sim::Engine::Batched) {
     compiled.emplace(base.trace, base.device);
   }
-  const hot::CompiledTrace* shared =
+  const sim::CompiledTrace* shared =
       compiled.has_value() ? &*compiled : nullptr;
 
   // Batched sweeps fan multi-point tasks instead of single points. The
   // plan depends on the grid alone — never the job count — so results
   // stay bit-identical across --jobs. Base configs the batch loop does
   // not model (cap governors, strict/tampered audits, multi-stack
-  // sources) keep the per-point path, where batch::simulate degrades
-  // per point.
+  // sources) keep the per-point path, where batch::simulate falls back
+  // to the reference loop per point.
   const bool batched_sweep =
       base.simulation.engine == sim::Engine::Batched && !base.cap.enabled &&
       base.audit.mode != audit::Mode::Strict &&
@@ -447,8 +434,6 @@ SweepResult run_sweep(const sim::ExperimentConfig& base,
       shard.slots.fetch_add(done.result.slots, std::memory_order_relaxed);
       if (done.ran_batched) {
         shard.batched_dispatches.fetch_add(1, std::memory_order_relaxed);
-      } else if (done.ran_hot) {
-        shard.hot_dispatches.fetch_add(1, std::memory_order_relaxed);
       } else {
         shard.reference_dispatches.fetch_add(1, std::memory_order_relaxed);
       }
@@ -486,7 +471,7 @@ SweepResult run_sweep(const sim::ExperimentConfig& base,
         lane.point_index = static_cast<std::uint32_t>(k);
         lane.attempt = 1;
         lane.ok = true;
-        lane.hot = done.ran_hot;
+        lane.batched = done.ran_batched;
         lanes->record(worker, lane);
       }
     };
@@ -516,7 +501,7 @@ SweepResult run_sweep(const sim::ExperimentConfig& base,
         lane.point_index = static_cast<std::uint32_t>(chunk.front());
         lane.attempt = 1;
         lane.ok = true;
-        lane.hot = false;
+        lane.batched = true;
         lanes->record(worker, lane);
       }
     };

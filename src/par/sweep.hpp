@@ -12,9 +12,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "hot/compiled_trace.hpp"
 #include "obs/context.hpp"
 #include "sim/cancellation.hpp"
+#include "sim/compiled_trace.hpp"
 #include "sim/experiments.hpp"
 
 namespace fcdpm::telemetry {
@@ -72,13 +72,9 @@ struct SweepOptions {
 struct SweepPointResult {
   SweepPoint point;
   sim::SimulationResult result;
-  /// The compiled hot lane actually ran this point (engine == Hot and
-  /// the run was lane-eligible; storms/observers fall back to the
-  /// reference interpreter inside hot::simulate).
-  bool ran_hot = false;
-  /// The batched engine actually ran this point (engine == Batched and
-  /// the point was batch-eligible — fault-free, single-stack, paper
-  /// hybrid). Mutually exclusive with ran_hot.
+  /// The batch loop actually ran this point (engine == Batched and the
+  /// point was batch-eligible — fault-free, single-stack, ungoverned,
+  /// paper hybrid); false means the reference loop ran it.
   bool ran_batched = false;
 };
 
@@ -111,16 +107,15 @@ struct SweepResult {
 /// and `slot_budget` thread straight into SimulationOptions: the
 /// resilience layer uses them for watchdog cancellation and the
 /// deterministic per-point deadline; the defaults leave the plain sweep
-/// path untouched. When `base.simulation.engine == sim::Engine::Hot`
-/// the point runs through hot::simulate (bit-identical), and when it is
-/// `sim::Engine::Batched` through batch::simulate (a B = 1 batch, with
-/// the same transparent fallback chain); `compiled` is the trace
-/// compiled once by run_sweep and shared read-only across points —
-/// nullptr makes the point compile its own.
+/// path untouched. When `base.simulation.engine == sim::Engine::Batched`
+/// the point runs through batch::simulate (a B = 1 batch, bit-identical,
+/// falling back to the reference loop for ineligible points);
+/// `compiled` is the trace compiled once by run_sweep and shared
+/// read-only across points — nullptr makes the point compile its own.
 [[nodiscard]] SweepPointResult run_point(
     const sim::ExperimentConfig& base, const SweepPoint& point,
     std::size_t storm_faults, sim::CancellationToken* cancel = nullptr, std::size_t slot_budget = 0,
-    const hot::CompiledTrace* compiled = nullptr);
+    const sim::CompiledTrace* compiled = nullptr);
 
 /// Fan the grid across `options.jobs` workers.
 [[nodiscard]] SweepResult run_sweep(const sim::ExperimentConfig& base,

@@ -18,10 +18,6 @@ namespace fcdpm::fault {
 class FaultInjector;
 }
 
-namespace fcdpm::hot {
-class HybridLane;
-}
-
 namespace fcdpm::batch {
 class BatchState;
 }
@@ -207,11 +203,9 @@ class HybridPowerSource {
   }
 
  private:
-  // The hot engine's lane mirrors run_segment() bit-for-bit on local
-  // state and writes the result back through this friendship, so a run
-  // can resume on the reference path mid-stream. The batch engine's
-  // SoA state does the same for B lanes at once.
-  friend class fcdpm::hot::HybridLane;
+  // The batch engine's SoA state mirrors run_segment() bit-for-bit for
+  // B lanes at once and writes the result back through this friendship,
+  // so a run can resume on the reference path mid-stream.
   friend class fcdpm::batch::BatchState;
 
   std::unique_ptr<FuelSource> source_;

@@ -15,10 +15,6 @@
 
 #include "common/units.hpp"
 
-namespace fcdpm::hot {
-class HybridLane;
-}
-
 namespace fcdpm::batch {
 class BatchState;
 }
@@ -95,7 +91,7 @@ class SuperCapacitor final : public ChargeStorage {
   [[nodiscard]] Coulomb capacity() const override { return capacity_; }
   [[nodiscard]] Coulomb charge() const override { return charge_; }
   /// Per-leg efficiency (sqrt of the round trip), applied once on store
-  /// and once on draw. The hot engine mirrors the store/draw arithmetic
+  /// and once on draw. The batch engine mirrors the store/draw arithmetic
   /// inline and needs this factor.
   [[nodiscard]] double one_way_efficiency() const noexcept {
     return one_way_efficiency_;
@@ -108,12 +104,11 @@ class SuperCapacitor final : public ChargeStorage {
   [[nodiscard]] std::unique_ptr<ChargeStorage> clone() const override;
 
  private:
-  // The hot engine's lane accumulates `charge_ += landed` on a local
-  // mirror and writes the final value back directly: `set_charge`'s
-  // range contract would reject the 1-ulp overshoot the reference's own
+  // The batch engine accumulates `charge_ += landed` on a local mirror
+  // and writes the final value back directly: `set_charge`'s range
+  // contract would reject the 1-ulp overshoot the reference's own
   // accumulation legitimately produces, and clamping would break
   // bit-identity.
-  friend class fcdpm::hot::HybridLane;
   friend class fcdpm::batch::BatchState;
 
   Coulomb capacity_;

@@ -110,13 +110,9 @@ std::string telemetry_worker_to_json(const TelemetryWorkerRow& w) {
   out += ",\"done\":" + std::to_string(w.done);
   out += ",\"retried\":" + std::to_string(w.retried);
   out += ",\"quarantined\":" + std::to_string(w.quarantined);
-  out += ",\"hot_dispatches\":" + std::to_string(w.hot_dispatches);
   out += ",\"reference_dispatches\":" +
          std::to_string(w.reference_dispatches);
-  if (w.batched_dispatches > 0) {
-    out += ",\"batched_dispatches\":" +
-           std::to_string(w.batched_dispatches);
-  }
+  out += ",\"batched_dispatches\":" + std::to_string(w.batched_dispatches);
   out += ",\"heartbeats\":" + std::to_string(w.heartbeats);
   out += ",\"slots\":" + std::to_string(w.slots);
   if (w.capped_slots > 0) {
@@ -138,13 +134,9 @@ std::string telemetry_to_json(const TelemetryReport& t) {
   out += ",\"done\":" + std::to_string(t.done);
   out += ",\"retried\":" + std::to_string(t.retried);
   out += ",\"quarantined\":" + std::to_string(t.quarantined);
-  out += ",\"hot_dispatches\":" + std::to_string(t.hot_dispatches);
   out += ",\"reference_dispatches\":" +
          std::to_string(t.reference_dispatches);
-  if (t.batched_dispatches > 0) {
-    out += ",\"batched_dispatches\":" +
-           std::to_string(t.batched_dispatches);
-  }
+  out += ",\"batched_dispatches\":" + std::to_string(t.batched_dispatches);
   out += ",\"heartbeats\":" + std::to_string(t.heartbeats);
   out += ",\"slots\":" + std::to_string(t.slots);
   if (t.capped_slots > 0) {

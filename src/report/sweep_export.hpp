@@ -53,7 +53,7 @@ struct SweepPointRow {
   std::uint64_t audit_slots = 0;       ///< slots the auditor sampled
   std::uint64_t audit_checks = 0;
   std::uint64_t audit_violations = 0;
-  std::uint64_t engine_fallbacks = 0;  ///< hot runs self-healed
+  std::uint64_t engine_fallbacks = 0;  ///< batched runs self-healed
   std::string audit_first;             ///< first violated check; empty = clean
 };
 
@@ -83,9 +83,7 @@ struct TelemetryWorkerRow {
   std::uint64_t done = 0;
   std::uint64_t retried = 0;
   std::uint64_t quarantined = 0;
-  std::uint64_t hot_dispatches = 0;
   std::uint64_t reference_dispatches = 0;
-  /// Batch-lane dispatches; serialized only when nonzero.
   std::uint64_t batched_dispatches = 0;
   std::uint64_t heartbeats = 0;
   std::uint64_t slots = 0;
@@ -109,9 +107,8 @@ struct TelemetryReport {
   std::uint64_t done = 0;
   std::uint64_t retried = 0;
   std::uint64_t quarantined = 0;
-  std::uint64_t hot_dispatches = 0;
   std::uint64_t reference_dispatches = 0;
-  std::uint64_t batched_dispatches = 0;  ///< serialized only when nonzero
+  std::uint64_t batched_dispatches = 0;
   std::uint64_t heartbeats = 0;
   std::uint64_t slots = 0;
   std::uint64_t capped_slots = 0;  ///< serialized only when nonzero
@@ -166,7 +163,7 @@ struct SweepBenchReport {
   std::uint64_t audited_slots = 0;     ///< slots sampled across all points
   std::uint64_t audit_checks = 0;      ///< invariant checks evaluated
   std::uint64_t audit_violations = 0;  ///< checks that failed
-  std::uint64_t engine_fallbacks = 0;  ///< hot runs replayed on reference
+  std::uint64_t engine_fallbacks = 0;  ///< batched runs replayed on reference
   std::size_t fallback_points = 0;     ///< ok points that self-healed
   /// Per-point deterministic results, grid order.
   std::vector<SweepPointRow> results;

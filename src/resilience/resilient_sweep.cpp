@@ -294,9 +294,6 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
                 if (outcome.result.ran_batched) {
                   shard.batched_dispatches.fetch_add(
                       1, std::memory_order_relaxed);
-                } else if (outcome.result.ran_hot) {
-                  shard.hot_dispatches.fetch_add(1,
-                                                 std::memory_order_relaxed);
                 } else {
                   shard.reference_dispatches.fetch_add(
                       1, std::memory_order_relaxed);
@@ -310,7 +307,7 @@ ResilientSweepResult run_resilient_sweep(const sim::ExperimentConfig& base,
                 lane.attempt = static_cast<std::uint32_t>(item.attempt);
                 lane.ok = outcome.ok;
                 lane.quarantined = !outcome.ok && final_attempt;
-                lane.hot = outcome.ok && outcome.result.ran_hot;
+                lane.batched = outcome.ok && outcome.result.ran_batched;
                 lanes->record(worker, lane);
               }
             }

@@ -95,8 +95,8 @@ PointOutcome execute_point(const sim::ExperimentConfig& base,
     out.error = {PointErrorKind::contract_violation, error.what()};
     return out;
   } catch (const audit::AuditError& error) {
-    // Only reference-engine strict violations escape run_point (hot-lane
-    // violations self-heal onto the reference engine inside it); there
+    // Only reference-engine strict violations escape run_point (batched
+    // lane violations self-heal onto the reference engine inside it); there
     // is no healthier engine to heal onto, so the point quarantines
     // under the contract taxonomy.
     out.error = {PointErrorKind::contract_violation,

@@ -1,10 +1,10 @@
-#include "hot/compiled_trace.hpp"
+#include "sim/compiled_trace.hpp"
 
 #include <utility>
 
 #include "common/contracts.hpp"
 
-namespace fcdpm::hot {
+namespace fcdpm::sim {
 
 CompiledTrace::CompiledTrace(wl::Trace trace,
                              const dpm::DevicePowerModel& device)
@@ -41,4 +41,4 @@ bool CompiledTrace::compatible_with(
          device.run_to_standby_delay.value() == run_to_standby_;
 }
 
-}  // namespace fcdpm::hot
+}  // namespace fcdpm::sim

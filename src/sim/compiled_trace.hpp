@@ -1,5 +1,5 @@
 // A workload trace compiled once against a device power model into the
-// structure-of-arrays form the hot slot loop walks: per-slot idle time,
+// structure-of-arrays form the batched slot loop walks: per-slot idle time,
 // effective active duration (RUN transitions absorbed, Section 3.3.2),
 // run current on the bus, and the precomputed active charge Ild,a * Ta.
 //
@@ -17,7 +17,7 @@
 #include "dpm/power_states.hpp"
 #include "workload/trace.hpp"
 
-namespace fcdpm::hot {
+namespace fcdpm::sim {
 
 class CompiledTrace {
  public:
@@ -54,7 +54,7 @@ class CompiledTrace {
   }
 
   /// True when `device` matches the model this trace was compiled with
-  /// (exact comparison on every value baked into the arrays). The hot
+  /// (exact comparison on every value baked into the arrays). The batched
   /// engine refuses to run a compiled trace against a different device.
   [[nodiscard]] bool compatible_with(
       const dpm::DevicePowerModel& device) const noexcept;
@@ -71,4 +71,4 @@ class CompiledTrace {
   double run_to_standby_ = 0.0;
 };
 
-}  // namespace fcdpm::hot
+}  // namespace fcdpm::sim

@@ -99,7 +99,7 @@ SimulationResult run_policy(PolicyKind kind,
   }
   // Reference-engine auditing: strict fails fast (the resilience layer
   // classifies the escape as contract_violation), sample records.
-  // Tamper models a hot-engine defect; the reference run is the truth
+  // Tamper models a batched-engine defect; the reference run is the truth
   // it is checked against, so it never tampers here.
   std::optional<audit::Auditor> auditor;
   if (config.audit.enabled() && options.auditor == nullptr) {

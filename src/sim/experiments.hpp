@@ -54,7 +54,7 @@ struct ExperimentConfig {
   /// Opt-in runtime invariant auditing. When enabled, run_policy /
   /// par::run_point build one audit::Auditor per run from this spec
   /// (the simulation options' raw auditor pointer is for callers that
-  /// manage their own instance). Hot-lane violations self-heal by
+  /// manage their own instance). Batched-lane violations self-heal by
   /// replaying on the reference engine; strict reference violations
   /// throw audit::AuditError.
   audit::AuditSpec audit;

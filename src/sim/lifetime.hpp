@@ -22,9 +22,9 @@
 namespace fcdpm::sim {
 
 /// Pluggable single-pass engine for measure_lifetime: same signature as
-/// sim::simulate plus an opaque context. Lets fcdpm::hot run the passes
-/// through its compiled-trace loop without sim depending on hot (the
-/// dependency points the other way).
+/// sim::simulate plus an opaque context. Lets fcdpm::batch run the
+/// passes through its compiled-trace loop without sim depending on
+/// batch (the dependency points the other way).
 using PassEngine = SimulationResult (*)(const wl::Trace& trace,
                                         dpm::DpmPolicy& dpm_policy,
                                         core::FcOutputPolicy& fc_policy,
@@ -42,7 +42,7 @@ struct LifetimeOptions {
   /// the steady-state signature comparison both assume it.
   PassEngine engine = nullptr;
   /// Opaque pointer handed to `engine` on every call (e.g. the
-  /// hot engine's CompiledTrace). Not owned.
+  /// batched engine's CompiledTrace). Not owned.
   void* engine_ctx = nullptr;
   /// Safety bound on workload repetitions.
   std::size_t max_passes = 100000;

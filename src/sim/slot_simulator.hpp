@@ -34,11 +34,13 @@ namespace fcdpm::sim {
 
 /// Which slot-loop implementation executes a run. Both produce
 /// bit-identical results; the reference loop stays as the differential
-/// oracle the hot engine is tested against.
+/// oracle the batched engine is tested against. A single Batched run is
+/// a B = 1 batch; configurations the batch loop does not mirror (faults,
+/// active observers, cap governors, profile recording) run on the
+/// reference loop inside batch::simulate.
 enum class Engine {
   Reference,  ///< sim::simulate's virtual-dispatch loop (the oracle)
-  Hot,        ///< fcdpm::hot — compiled trace, allocation-free slot loop
-  Batched,    ///< fcdpm::batch — SoA multi-point slot loop over hot lanes
+  Batched,    ///< fcdpm::batch — compiled trace, SoA multi-point slot loop
 };
 
 struct SimulationOptions {
@@ -60,8 +62,8 @@ struct SimulationOptions {
   /// attaches it to the policies and the hybrid source for the duration
   /// of the run and restores their previous observers on return; the
   /// context's simulated clock advances with the run. Not owned.
-  /// nullptr (the default) keeps the hot path allocation-free and the
-  /// results bit-identical.
+  /// nullptr (the default) keeps the batched slot loop allocation-free
+  /// and the results bit-identical.
   obs::Context* observer = nullptr;
   /// Opt-in fault injection. The simulator resets the injector at run
   /// start (unless preserve_source_state continues a previous pass, so
@@ -84,7 +86,8 @@ struct SimulationOptions {
   /// attached. Its stats are copied into SimulationResult::audit. A
   /// fail-fast auditor may throw audit::AuditError from a slot
   /// boundary; the dispatchers (par::run_point, the CLI) self-heal a
-  /// hot-engine throw by replaying on the reference engine. Not owned.
+  /// batched-engine throw by replaying on the reference engine. Not
+  /// owned.
   audit::Auditor* auditor = nullptr;
   /// Opt-in cooperative cancellation. Checked (and `beat()`) once per
   /// slot boundary; a cancelled token makes simulate() throw
@@ -97,8 +100,8 @@ struct SimulationOptions {
   /// its deadline identically on any machine.
   std::size_t slot_budget = 0;
   /// Which engine executes the run. sim::simulate itself always runs the
-  /// reference loop; dispatchers that know about the hot engine
-  /// (hot::simulate, par::run_sweep, the CLI) consult this field.
+  /// reference loop; dispatchers that know about the batched engine
+  /// (par::run_sweep, the CLI) consult this field.
   Engine engine = Engine::Reference;
 };
 

@@ -14,7 +14,7 @@
 // clamp + stack_current path as LinearFuelSource (distribute()
 // short-circuits, fade guards return nominal bits, the 0.0-seeded sums
 // are exact), so every existing single-stack gate keeps passing. The
-// hot engine's lane only compiles plain LinearFuelSource runs; a
+// batched engine only compiles plain LinearFuelSource runs; a
 // multi-stack run fails lane eligibility and both engines execute the
 // identical reference path.
 #pragma once

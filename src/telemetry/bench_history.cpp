@@ -63,11 +63,11 @@ bool make_history_row(const json::Value& bench,
   capture_env(bench, out);
 
   const std::string schema = bench.string_at("schema");
-  if (schema == "fcdpm.bench.core.v1") {
+  if (schema == "fcdpm.bench.core.v2") {
     out.kind = "core";
-    add_metric(bench, "timing.single_run.hot_us", "hot_us", out);
+    add_metric(bench, "timing.single_run.batched_us", "batched_us", out);
     add_metric(bench, "timing.single_run.speedup", "single_run_speedup", out);
-    add_metric(bench, "timing.lifetime.hot_ms", "hot_ms", out);
+    add_metric(bench, "timing.lifetime.batched_ms", "batched_ms", out);
     add_metric(bench, "timing.lifetime.speedup", "lifetime_speedup", out);
     return true;
   }
@@ -191,7 +191,8 @@ bool metric_direction(const std::string& name, Direction& out) {
       "points_per_s",     "speedup",       "single_run_speedup",
       "lifetime_speedup", "speedup_jobs1", "speedup_jobsN",
       "devices_per_s"};
-  static constexpr const char* kLower[] = {"wall_s", "hot_us", "hot_ms"};
+  static constexpr const char* kLower[] = {"wall_s", "batched_us",
+                                           "batched_ms"};
   for (const char* metric : kHigher) {
     if (name == metric) {
       out = Direction::HigherIsBetter;

@@ -43,7 +43,7 @@ struct HistoryRow {
 };
 
 /// Build a ledger row from a parsed BENCH_*.json document. Kind is
-/// detected from the document's "schema" field ("fcdpm.bench.core.v1"
+/// detected from the document's "schema" field ("fcdpm.bench.core.v2"
 /// -> "core"); documents without one but with sweep headline fields
 /// ("points_per_s") are "sweep". Returns false (with `error` set) when
 /// the document matches no known bench family.

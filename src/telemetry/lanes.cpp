@@ -35,7 +35,7 @@ void emit_lanes(const LaneRecorder& recorder, std::size_t total_points,
       begin.arg_count = 3;
       begin.args[0] = {"index", static_cast<double>(lane.point_index)};
       begin.args[1] = {"attempt", static_cast<double>(lane.attempt)};
-      begin.args[2] = {"hot", lane.hot ? 1.0 : 0.0};
+      begin.args[2] = {"batched", lane.batched ? 1.0 : 0.0};
       sink.event(begin);
 
       obs::TraceEvent end;

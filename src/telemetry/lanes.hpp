@@ -31,7 +31,7 @@ struct PointLane {
   /// Failed final attempt: the point will not run again. Lets the
   /// queue-depth counter settle failed points too.
   bool quarantined = false;
-  bool hot = false;  ///< the hot lane actually ran this attempt
+  bool batched = false;  ///< the batch loop ran this attempt (chunk or B = 1)
 };
 
 class LaneRecorder {
@@ -62,7 +62,7 @@ class LaneRecorder {
 
 /// Replay the recorded lanes into `sink` (single-threaded):
 ///   track base_track + 1 + w  — named "sweep worker w", one span per
-///                               point attempt with index/attempt/hot
+///                               point attempt with index/attempt/batched
 ///                               args;
 ///   track base_track          — counter samples "sweep.queue_depth"
 ///                               (grid points not yet settled), one

@@ -28,14 +28,9 @@ std::string snapshot_to_json(const SweepSnapshot& snap) {
   out += ",\"done\":" + std::to_string(snap.done);
   out += ",\"retried\":" + std::to_string(snap.retried);
   out += ",\"quarantined\":" + std::to_string(snap.quarantined);
-  out += ",\"hot_dispatches\":" + std::to_string(snap.hot_dispatches);
   out += ",\"reference_dispatches\":" +
          std::to_string(snap.reference_dispatches);
-  // Gated like capping/auditing: batched-off streams keep their bytes.
-  if (snap.batched_dispatches > 0) {
-    out += ",\"batched_dispatches\":" +
-           std::to_string(snap.batched_dispatches);
-  }
+  out += ",\"batched_dispatches\":" + std::to_string(snap.batched_dispatches);
   out += ",\"heartbeats\":" + std::to_string(snap.heartbeats);
   out += ",\"slots\":" + std::to_string(snap.slots);
   // Emitted only once capping is live so cap-off streams stay
@@ -70,13 +65,9 @@ std::string snapshot_to_json(const SweepSnapshot& snap) {
     out += ",\"done\":" + std::to_string(w.done);
     out += ",\"retried\":" + std::to_string(w.retried);
     out += ",\"quarantined\":" + std::to_string(w.quarantined);
-    out += ",\"hot_dispatches\":" + std::to_string(w.hot_dispatches);
     out += ",\"reference_dispatches\":" +
            std::to_string(w.reference_dispatches);
-    if (w.batched_dispatches > 0) {
-      out += ",\"batched_dispatches\":" +
-             std::to_string(w.batched_dispatches);
-    }
+    out += ",\"batched_dispatches\":" + std::to_string(w.batched_dispatches);
     out += ",\"heartbeats\":" + std::to_string(w.heartbeats);
     out += ",\"slots\":" + std::to_string(w.slots);
     if (w.capped_slots > 0) {

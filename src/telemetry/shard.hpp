@@ -110,7 +110,6 @@ struct alignas(kCacheLine) WorkerShard {
   std::atomic<std::uint64_t> points_done{0};      ///< completed ok
   std::atomic<std::uint64_t> points_retried{0};   ///< failed, will re-run
   std::atomic<std::uint64_t> points_quarantined{0};
-  std::atomic<std::uint64_t> hot_dispatches{0};  ///< hot lane actually ran
   std::atomic<std::uint64_t> reference_dispatches{0};
   std::atomic<std::uint64_t> batched_dispatches{0};  ///< batch lane ran
   std::atomic<std::uint64_t> heartbeats{0};  ///< watchdog-token slot beats
@@ -119,7 +118,7 @@ struct alignas(kCacheLine) WorkerShard {
   std::atomic<std::uint64_t> capped_slots{0};  ///< governor-throttled slots
   std::atomic<std::uint64_t> audited_slots{0};  ///< auditor-sampled slots
   std::atomic<std::uint64_t> audit_violations{0};
-  std::atomic<std::uint64_t> engine_fallbacks{0};  ///< hot runs self-healed
+  std::atomic<std::uint64_t> engine_fallbacks{0};  ///< batched runs self-healed
   AtomicHistogram wall_us;  ///< per-point wall latency, microseconds
   AtomicHistogram sim_s;    ///< per-point simulated duration, seconds
 };

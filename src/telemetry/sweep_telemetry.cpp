@@ -82,8 +82,6 @@ SweepSnapshot SweepTelemetry::snapshot() const {
     row.retried = shard.points_retried.load(std::memory_order_relaxed);
     row.quarantined =
         shard.points_quarantined.load(std::memory_order_relaxed);
-    row.hot_dispatches =
-        shard.hot_dispatches.load(std::memory_order_relaxed);
     row.reference_dispatches =
         shard.reference_dispatches.load(std::memory_order_relaxed);
     row.batched_dispatches =
@@ -103,7 +101,6 @@ SweepSnapshot SweepTelemetry::snapshot() const {
     snap.done += row.done;
     snap.retried += row.retried;
     snap.quarantined += row.quarantined;
-    snap.hot_dispatches += row.hot_dispatches;
     snap.reference_dispatches += row.reference_dispatches;
     snap.batched_dispatches += row.batched_dispatches;
     snap.heartbeats += row.heartbeats;

@@ -34,7 +34,6 @@ struct WorkerSnapshot {
   std::uint64_t done = 0;
   std::uint64_t retried = 0;
   std::uint64_t quarantined = 0;
-  std::uint64_t hot_dispatches = 0;
   std::uint64_t reference_dispatches = 0;
   std::uint64_t batched_dispatches = 0;
   std::uint64_t heartbeats = 0;
@@ -54,7 +53,6 @@ struct SweepSnapshot {
   std::uint64_t done = 0;
   std::uint64_t retried = 0;
   std::uint64_t quarantined = 0;
-  std::uint64_t hot_dispatches = 0;
   std::uint64_t reference_dispatches = 0;
   std::uint64_t batched_dispatches = 0;
   std::uint64_t heartbeats = 0;

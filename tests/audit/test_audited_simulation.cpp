@@ -1,6 +1,6 @@
 // End-to-end auditing: attaching an auditor never changes results
 // (both engines, any job count), strict mode runs clean on healthy
-// configurations, and a tampered hot lane self-heals onto the
+// configurations, and a tampered batched lane self-heals onto the
 // reference engine exactly once with a bit-identical replay.
 #include <gtest/gtest.h>
 
@@ -84,9 +84,11 @@ TEST(AuditedSimulation, StrictSweepBitIdenticalAcrossEnginesAndJobs) {
   // The acceptance gate: strict auditing is bit-identical to audit-off
   // on both engines at jobs 1, 2 and 8 — and the AuditStats themselves
   // are deterministic (independent of worker count and engine... the
-  // hot lane skips segment checks, so stats are compared per-engine).
+  // batched lane skips segment checks, so stats are compared
+  // per-engine).
   const par::SweepGrid grid = small_grid();
-  for (const sim::Engine engine : {sim::Engine::Reference, sim::Engine::Hot}) {
+  for (const sim::Engine engine :
+       {sim::Engine::Reference, sim::Engine::Batched}) {
     sim::ExperimentConfig off = small_config(Mode::Off);
     off.simulation.engine = engine;
     sim::ExperimentConfig strict = small_config(Mode::Strict);
@@ -125,10 +127,12 @@ TEST(AuditedSimulation, StrictSweepBitIdenticalAcrossEnginesAndJobs) {
   }
 }
 
+// The test name predates the batched engine's B = 1 path; the tampered
+// lane is a one-lane batch.
 TEST(AuditedSimulation, TamperedHotLaneSelfHealsExactlyOnce) {
-  sim::ExperimentConfig hot = small_config(Mode::Strict);
-  hot.simulation.engine = sim::Engine::Hot;
-  hot.audit.tamper_slot = 12;  // the 400 s truncation runs 25 slots
+  sim::ExperimentConfig batched = small_config(Mode::Strict);
+  batched.simulation.engine = sim::Engine::Batched;
+  batched.audit.tamper_slot = 12;  // the 400 s truncation runs 25 slots
 
   par::SweepPoint point;
   point.policy = sim::PolicyKind::FcDpm;
@@ -136,16 +140,16 @@ TEST(AuditedSimulation, TamperedHotLaneSelfHealsExactlyOnce) {
   point.capacity = Coulomb(6.0);
 
   const par::SweepPointResult healed =
-      par::run_point(hot, point, 0);
+      par::run_point(batched, point, 0);
 
-  // The fallback is recorded: one engine fallback, the hot auditor's
-  // violation carried over, and the run no longer counts as hot.
+  // The fallback is recorded: one engine fallback, the batched auditor's
+  // violation carried over, and the run no longer counts as batched.
   ASSERT_TRUE(healed.result.audit.has_value());
   EXPECT_EQ(healed.result.audit->engine_fallbacks, 1u);
   EXPECT_EQ(healed.result.audit->violations, 1u);
   EXPECT_EQ(healed.result.audit->first_violation, "delivered_integral");
   EXPECT_EQ(healed.result.audit->first_violation_slot, 12u);
-  EXPECT_FALSE(healed.ran_hot);
+  EXPECT_FALSE(healed.ran_batched);
 
   // The healed observables are the reference engine's, bit for bit.
   sim::ExperimentConfig reference = small_config(Mode::Off);
@@ -155,7 +159,7 @@ TEST(AuditedSimulation, TamperedHotLaneSelfHealsExactlyOnce) {
 }
 
 TEST(AuditedSimulation, TamperNeverFiresOnReferenceOnlyRuns) {
-  // The tamper hook models a hot-engine defect; a reference run (the
+  // The tamper hook models a batched-engine defect; a reference run (the
   // self-heal target) must ignore it even when the spec carries it.
   sim::ExperimentConfig config = small_config(Mode::Strict);
   config.audit.tamper_slot = 12;

@@ -227,16 +227,16 @@ TEST(Auditor, TamperHookCorruptsOnlyTheObservedIntegral) {
 }
 
 TEST(Auditor, RecordEngineFallbackCarriesHotCountersOver) {
-  AuditStats hot;
-  hot.violations = 2;
-  hot.fuel_violations = 1;
-  hot.storage_violations = 1;
-  hot.first_violation = "delivered_integral";
-  hot.first_violation_slot = 40;
+  AuditStats failed;
+  failed.violations = 2;
+  failed.fuel_violations = 1;
+  failed.storage_violations = 1;
+  failed.first_violation = "delivered_integral";
+  failed.first_violation_slot = 40;
 
   AuditStats healed;  // the clean reference replay
   healed.mode = static_cast<int>(Mode::Strict);
-  record_engine_fallback(healed, hot);
+  record_engine_fallback(healed, failed);
   EXPECT_EQ(healed.engine_fallbacks, 1u);
   EXPECT_EQ(healed.violations, 2u);
   EXPECT_EQ(healed.fuel_violations, 1u);

@@ -1,5 +1,5 @@
-// audit::bisect — binary-searching the first slot where the hot engine
-// diverges from the reference engine, and dumping a minimized repro.
+// audit::bisect — binary-searching the first slot where the batched
+// engine diverges from the reference engine, and dumping a minimized repro.
 #include "audit/bisect.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/contracts.hpp"
 #include "sim/experiments.hpp"
 
 namespace fcdpm::audit {
@@ -53,10 +54,19 @@ TEST(Bisect, PinpointsThePerturbedSlot) {
   EXPECT_GT(report.runs, 1u);
   EXPECT_LT(report.runs, 24u);
   // The minimal divergent prefix genuinely disagrees...
-  EXPECT_FALSE(same_run_bits(report.reference, report.hot));
+  EXPECT_FALSE(same_run_bits(report.reference, report.batched));
   // ...and the entry state is the agreed-on state before the slot.
   EXPECT_GE(report.entry_fuel_as, 0.0);
   EXPECT_GE(report.entry_storage_as, 0.0);
+}
+
+TEST(Bisect, RefusesACappedConfig) {
+  // A governed run never reaches the batch loop, so both sides of the
+  // search would be the reference loop.
+  sim::ExperimentConfig config = short_config();
+  config.cap.enabled = true;
+  EXPECT_THROW((void)bisect_point(config, sim::PolicyKind::FcDpm),
+               PreconditionError);
 }
 
 TEST(Bisect, FirstSlotPerturbationIsFound) {
@@ -86,7 +96,7 @@ TEST(Bisect, WriteReproEmitsJsonAndTraceWindow) {
   EXPECT_NE(json.find("\"fuel_as\""), std::string::npos);
   EXPECT_NE(json.find("\"storage_as\""), std::string::npos);
   EXPECT_NE(json.find("\"reference\""), std::string::npos);
-  EXPECT_NE(json.find("\"hot\""), std::string::npos);
+  EXPECT_NE(json.find("\"batched\""), std::string::npos);
   EXPECT_NE(json.find("_bits"), std::string::npos);  // raw IEEE patterns
 
   const std::string window = read_file(prefix + "_window.csv");

@@ -1,4 +1,4 @@
-#include "hot/polarization_table.hpp"
+#include "fuelcell/polarization_table.hpp"
 
 #include <gtest/gtest.h>
 
@@ -20,13 +20,13 @@ power::LinearFuelSource linear_source() {
 
 TEST(PolarizationTable, ZeroMeansFcIdled) {
   const power::LinearFuelSource source = linear_source();
-  const hot::PolarizationTable table(source);
+  const fc::PolarizationTable table(source);
   EXPECT_EQ(table.fuel_current(Ampere(0.0)).value(), 0.0);
 }
 
 TEST(PolarizationTable, EndpointsAreExactSamples) {
   const power::LinearFuelSource source = linear_source();
-  const hot::PolarizationTable table(source);
+  const fc::PolarizationTable table(source);
   EXPECT_EQ(table.fuel_current(source.min_output()).value(),
             source.fuel_current(source.min_output()).value());
   EXPECT_EQ(table.fuel_current(source.max_output()).value(),
@@ -35,7 +35,7 @@ TEST(PolarizationTable, EndpointsAreExactSamples) {
 
 TEST(PolarizationTable, ClampsIntoTheSampledRange) {
   const power::LinearFuelSource source = linear_source();
-  const hot::PolarizationTable table(source);
+  const fc::PolarizationTable table(source);
   EXPECT_EQ(table.fuel_current(source.min_output() * 0.5).value(),
             table.fuel_current(source.min_output()).value());
   EXPECT_EQ(table.fuel_current(source.max_output() * 2.0).value(),
@@ -44,7 +44,7 @@ TEST(PolarizationTable, ClampsIntoTheSampledRange) {
 
 TEST(PolarizationTable, InterpolationErrorIsBoundedLinearModel) {
   const power::LinearFuelSource source = linear_source();
-  const hot::PolarizationTable table(source, 256);
+  const fc::PolarizationTable table(source, 256);
   const double lo = source.min_output().value();
   const double hi = source.max_output().value();
   double worst = 0.0;
@@ -65,7 +65,7 @@ TEST(PolarizationTable, SurrogatesThePhysicalSourceWithinTolerance) {
   // The physical curve turns near-vertical at the maximum power point,
   // so coarse grids (512 samples: ~5e-3 worst) leave their error at the
   // knee; 2048 samples resolve it (~2e-5 worst, asserted at 1e-3).
-  const hot::PolarizationTable table(source, 2048);
+  const fc::PolarizationTable table(source, 2048);
   const double lo = source.min_output().value();
   const double hi = source.max_output().value();
   double worst = 0.0;
@@ -80,8 +80,8 @@ TEST(PolarizationTable, SurrogatesThePhysicalSourceWithinTolerance) {
 
 TEST(PolarizationTable, MoreSamplesTightenTheBound) {
   const power::LinearFuelSource source = linear_source();
-  const hot::PolarizationTable coarse(source, 8);
-  const hot::PolarizationTable fine(source, 1024);
+  const fc::PolarizationTable coarse(source, 8);
+  const fc::PolarizationTable fine(source, 1024);
   const double lo = source.min_output().value();
   const double hi = source.max_output().value();
   double worst_coarse = 0.0;
@@ -101,13 +101,13 @@ TEST(PolarizationTable, MoreSamplesTightenTheBound) {
 
 TEST(PolarizationTable, RequiresAtLeastTwoSamples) {
   const power::LinearFuelSource source = linear_source();
-  EXPECT_THROW(hot::PolarizationTable(source, 1), PreconditionError);
-  EXPECT_THROW(hot::PolarizationTable(source, 0), PreconditionError);
+  EXPECT_THROW(fc::PolarizationTable(source, 1), PreconditionError);
+  EXPECT_THROW(fc::PolarizationTable(source, 0), PreconditionError);
 }
 
 TEST(PolarizationTable, ReportsItsGrid) {
   const power::LinearFuelSource source = linear_source();
-  const hot::PolarizationTable table(source, 64);
+  const fc::PolarizationTable table(source, 64);
   EXPECT_EQ(table.samples(), 64u);
   EXPECT_EQ(table.min_output().value(), source.min_output().value());
   EXPECT_EQ(table.max_output().value(), source.max_output().value());

@@ -195,8 +195,7 @@ TEST(SweepTelemetryTest, FinalSnapshotTotalsEqualTheSweepReport) {
   EXPECT_EQ(snap.done, sweep.stats.points);
   EXPECT_EQ(snap.retried, 0u);
   EXPECT_EQ(snap.quarantined, 0u);
-  EXPECT_EQ(snap.hot_dispatches + snap.reference_dispatches +
-                snap.batched_dispatches,
+  EXPECT_EQ(snap.reference_dispatches + snap.batched_dispatches,
             sweep.stats.points);
   EXPECT_GT(snap.slots, 0u);
   EXPECT_GT(snap.wall_max_us, 0.0);

@@ -1,4 +1,4 @@
-#include "hot/compiled_trace.hpp"
+#include "sim/compiled_trace.hpp"
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,7 @@ dpm::DevicePowerModel camcorder_device() {
 TEST(CompiledTrace, BakesTheReferenceDerivationsPerSlot) {
   const wl::Trace trace = wl::paper_camcorder_trace();
   const dpm::DevicePowerModel device = camcorder_device();
-  const hot::CompiledTrace compiled(trace, device);
+  const sim::CompiledTrace compiled(trace, device);
 
   ASSERT_EQ(compiled.size(), trace.size());
   for (std::size_t k = 0; k < trace.size(); ++k) {
@@ -37,7 +37,7 @@ TEST(CompiledTrace, BakesTheReferenceDerivationsPerSlot) {
 
 TEST(CompiledTrace, TotalActiveChargeSumsTheSlots) {
   const wl::Trace trace = wl::paper_camcorder_trace();
-  const hot::CompiledTrace compiled(trace, camcorder_device());
+  const sim::CompiledTrace compiled(trace, camcorder_device());
   Coulomb total{0.0};
   for (std::size_t k = 0; k < compiled.size(); ++k) {
     total += compiled.active_charge(k);
@@ -47,7 +47,7 @@ TEST(CompiledTrace, TotalActiveChargeSumsTheSlots) {
 
 TEST(CompiledTrace, KeepsTheSourceTrace) {
   const wl::Trace trace = wl::paper_camcorder_trace();
-  const hot::CompiledTrace compiled(trace, camcorder_device());
+  const sim::CompiledTrace compiled(trace, camcorder_device());
   EXPECT_EQ(compiled.trace().name(), trace.name());
   ASSERT_EQ(compiled.trace().size(), trace.size());
   EXPECT_EQ(compiled.trace()[0].active_power.value(),
@@ -57,7 +57,7 @@ TEST(CompiledTrace, KeepsTheSourceTrace) {
 TEST(CompiledTrace, CompatibleWithMatchesOnlyTheBakedDevice) {
   const wl::Trace trace = wl::paper_camcorder_trace();
   const dpm::DevicePowerModel device = camcorder_device();
-  const hot::CompiledTrace compiled(trace, device);
+  const sim::CompiledTrace compiled(trace, device);
 
   EXPECT_TRUE(compiled.compatible_with(device));
   // Values not baked into the arrays may differ freely.
@@ -79,12 +79,12 @@ TEST(CompiledTrace, CompatibleWithMatchesOnlyTheBakedDevice) {
 TEST(CompiledTrace, RejectsAnInvalidDevice) {
   dpm::DevicePowerModel device = camcorder_device();
   device.bus_voltage = Volt(0.0);
-  EXPECT_THROW(hot::CompiledTrace(wl::paper_camcorder_trace(), device),
+  EXPECT_THROW(sim::CompiledTrace(wl::paper_camcorder_trace(), device),
                PreconditionError);
 }
 
 TEST(CompiledTrace, EmptyTraceCompilesEmpty) {
-  const hot::CompiledTrace compiled(wl::Trace{}, camcorder_device());
+  const sim::CompiledTrace compiled(wl::Trace{}, camcorder_device());
   EXPECT_TRUE(compiled.empty());
   EXPECT_EQ(compiled.size(), 0u);
   EXPECT_EQ(compiled.total_active_charge().value(), 0.0);

@@ -8,7 +8,7 @@
 #include <memory>
 #include <vector>
 
-#include "hot/engine.hpp"
+#include "batch/engine.hpp"
 #include "par/sweep.hpp"
 #include "sim/experiments.hpp"
 #include "stacks/multi_stack.hpp"
@@ -46,7 +46,8 @@ TEST(StacksSimulation, SingleStackBitIdenticalAcrossPoliciesAndEngines) {
   const sim::PolicyKind kinds[] = {
       sim::PolicyKind::Conv, sim::PolicyKind::Asap, sim::PolicyKind::FcDpm,
       sim::PolicyKind::Oracle};
-  const sim::Engine engines[] = {sim::Engine::Reference, sim::Engine::Hot};
+  const sim::Engine engines[] = {sim::Engine::Reference,
+                                 sim::Engine::Batched};
   const stacks::Distribution dists[] = {stacks::Distribution::Proportional,
                                         stacks::Distribution::Waterfill,
                                         stacks::Distribution::Health};
@@ -78,7 +79,7 @@ TEST(StacksSimulation, SingleStackBitIdenticalAcrossPoliciesAndEngines) {
   }
 }
 
-// A multi-stack source fails hot-lane eligibility, so both engines run
+// A multi-stack source fails batch-lane eligibility, so both engines run
 // the identical reference path — storms and degradation included.
 TEST(StacksSimulation, EnginesAndJobCountsAgreeWithStacksOn) {
   sim::ExperimentConfig base = sim::experiment1_config();
@@ -95,10 +96,10 @@ TEST(StacksSimulation, EnginesAndJobCountsAgreeWithStacksOn) {
   grid.storm_faults = 6;
 
   const par::SweepResult ref = par::run_sweep(base, grid);
-  sim::ExperimentConfig hot_base = base;
-  hot_base.simulation.engine = sim::Engine::Hot;
-  const par::SweepResult hot = par::run_sweep(hot_base, grid);
-  expect_identical_sweeps(ref, hot);
+  sim::ExperimentConfig batched_base = base;
+  batched_base.simulation.engine = sim::Engine::Batched;
+  const par::SweepResult batched = par::run_sweep(batched_base, grid);
+  expect_identical_sweeps(ref, batched);
 
   par::SweepOptions four;
   four.jobs = 4;
@@ -106,15 +107,17 @@ TEST(StacksSimulation, EnginesAndJobCountsAgreeWithStacksOn) {
   expect_identical_sweeps(ref, parallel);
 }
 
+// The test name predates the batched engine's B = 1 path; the check is
+// batch-lane eligibility.
 TEST(StacksSimulation, MultiStackRunsFailHotLaneEligibility) {
   sim::ExperimentConfig config = sim::experiment1_config();
   config.stacks.enabled = true;
   config.stacks.count = 2;
   power::HybridPowerSource multi = sim::make_hybrid(config);
-  EXPECT_FALSE(hot::lane_eligible(multi, config.simulation));
+  EXPECT_FALSE(batch::lane_eligible(multi, config.simulation));
   config.stacks.enabled = false;
   power::HybridPowerSource plain = sim::make_hybrid(config);
-  EXPECT_TRUE(hot::lane_eligible(plain, config.simulation));
+  EXPECT_TRUE(batch::lane_eligible(plain, config.simulation));
 }
 
 sim::SimulationResult run_fcdpm_with_fleet(

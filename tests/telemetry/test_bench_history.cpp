@@ -76,11 +76,11 @@ json::Value parse_ok(const std::string& text) {
 
 TEST(BenchHistoryTest, BuildsACoreRowFromBenchCoreJson) {
   const json::Value bench = parse_ok(R"({
-    "schema": "fcdpm.bench.core.v1",
+    "schema": "fcdpm.bench.core.v2",
     "env": {"compiler": "gcc 13", "cpp_standard": 202002, "assertions": true},
     "timing": {
-      "single_run": {"hot_us": 420.5, "speedup": 2.0},
-      "lifetime": {"hot_ms": 37.25, "speedup": 2.05}
+      "single_run": {"batched_us": 420.5, "speedup": 2.0},
+      "lifetime": {"batched_ms": 37.25, "speedup": 2.05}
     }
   })");
   HistoryRow row;
@@ -93,8 +93,8 @@ TEST(BenchHistoryTest, BuildsACoreRowFromBenchCoreJson) {
   EXPECT_EQ(row.env[0].second, "gcc 13");
   EXPECT_EQ(row.env[1].second, "202002");  // numbers stringify integrally
   EXPECT_EQ(row.env[2].second, "true");
-  ASSERT_NE(row.metric("hot_us"), nullptr);
-  EXPECT_DOUBLE_EQ(*row.metric("hot_us"), 420.5);
+  ASSERT_NE(row.metric("batched_us"), nullptr);
+  EXPECT_DOUBLE_EQ(*row.metric("batched_us"), 420.5);
   EXPECT_DOUBLE_EQ(*row.metric("lifetime_speedup"), 2.05);
   EXPECT_EQ(row.metric("nope"), nullptr);
 }
@@ -303,7 +303,8 @@ TEST(BenchHistoryTest, KindsAreGatedSeparately) {
   std::vector<HistoryRow> history = history_of({10.0});
   HistoryRow core;
   core.kind = "core";
-  core.metrics.emplace_back("hot_us", 1e9);  // terrible, but no core history
+  // Terrible, but there is no core history to gate it against.
+  core.metrics.emplace_back("batched_us", 1e9);
   EXPECT_TRUE(check_regression(history, core, CheckOptions{}).ok);
 }
 
