@@ -19,17 +19,20 @@
 // --profile-out to capture a Perfetto trace, a metrics dump and a
 // wall-clock profile of the run (see docs/ARCHITECTURE.md,
 // "Observability"), and --faults <spec|file|storm:SEED[:N]> to inject a
-// fault schedule (see "Fault model & graceful degradation"). sweep's
-// resilience flags (see "Crash-safe sweeps & failure quarantine")
-// engage the journaling/retry/watchdog runner; without them the plain
-// deterministic engine runs untouched.
+// fault schedule (see "Fault model & graceful degradation"). Every
+// sweep runs through one scheduler under a per-point execution
+// contract (see "Crash-safe sweeps & failure quarantine"); sweep's
+// resilience flags set the contract, the journal and the watchdog, and
+// add a status column and a `resilience` report block.
 //
 // Every command rejects an option it does not read, naming the option
 // and its argv position.
 //
-// Exit code 0 on success, 1 on CLI errors, 2 on runtime errors. A
-// quarantined grid point is *not* a sweep failure: the point is
-// reported with its typed error and the exit code stays 0.
+// Exit code 0 on success, 1 on CLI errors, 2 on runtime errors. With a
+// resilience flag, a quarantined grid point is *not* a sweep failure:
+// the point is reported with its typed error and the exit code stays
+// 0. Without one, a quarantined point is reported the same way and the
+// sweep exits 2.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -58,7 +61,7 @@
 #include "par/sweep.hpp"
 #include "par/worker_pool.hpp"
 #include "report/obs_export.hpp"
-#include "resilience/resilient_sweep.hpp"
+#include "resilience/retry.hpp"
 #include "report/sweep_export.hpp"
 #include "telemetry/lanes.hpp"
 #include "telemetry/progress.hpp"
@@ -1143,242 +1146,85 @@ par::SweepGrid parse_sweep_grid(const Options& options) {
   return grid;
 }
 
-/// The journaling/retry/watchdog sweep path behind the resilience
-/// flags. Quarantined points are reported, not fatal: exit code 0.
-int cmd_sweep_resilient(const sim::ExperimentConfig& config,
-                        const par::SweepGrid& grid, const Options& options,
-                        ObsSession& obs, std::size_t jobs) {
-  resilience::ResilienceOptions ropt;
-  ropt.contract.max_retries =
-      static_cast<std::size_t>(number_or(options, "max-retries", 2.0));
-  ropt.contract.point_deadline_slots = static_cast<std::size_t>(
-      number_or(options, "point-deadline", 0.0));
+/// The sweep's options from its flags. The resilience flags only fill
+/// contract, journal and watchdog fields: every sweep runs under the
+/// (default) contract through the one scheduler.
+par::SweepOptions parse_sweep_options(const Options& options) {
+  par::SweepOptions sweep;
+  sweep.jobs = checked_index_or(options, "jobs", 1);
+  resilience::ExecutionContract& contract = sweep.contract;
+  contract.max_retries =
+      checked_index_or(options, "max-retries", contract.max_retries);
+  contract.point_deadline_slots = checked_index_or(
+      options, "point-deadline", contract.point_deadline_slots);
   if (options.find("unserved-budget") != options.end()) {
-    ropt.contract.unserved_budget_as =
+    contract.unserved_budget_as =
         checked_number_or(options, "unserved-budget", 0.0);
-    if (ropt.contract.unserved_budget_as < 0.0) {
+    if (contract.unserved_budget_as < 0.0) {
       throw std::runtime_error(
           "--unserved-budget: '" +
           option_or(options, "unserved-budget", "") +
           "' out of range (need a non-negative charge in A-s)");
     }
   }
-  if (options.find("inject-fail") != options.end()) {
-    ropt.contract.inject_fail_index =
-        static_cast<std::size_t>(number_or(options, "inject-fail", 0.0));
-  }
-  ropt.journal_path = option_or(options, "journal", "");
+  contract.inject_fail_index =
+      checked_index_or(options, "inject-fail", contract.inject_fail_index);
+  sweep.journal_path = option_or(options, "journal", "");
   const std::string resume = option_or(options, "resume", "");
   if (!resume.empty()) {
-    if (!ropt.journal_path.empty() && ropt.journal_path != resume) {
+    if (!sweep.journal_path.empty() && sweep.journal_path != resume) {
       throw std::runtime_error(
           "--journal and --resume name different files");
     }
-    ropt.journal_path = resume;
-    ropt.resume = true;
+    sweep.journal_path = resume;
+    sweep.resume = true;
   }
-  ropt.spot_checks =
-      static_cast<std::size_t>(number_or(options, "spot-checks", 1.0));
-  ropt.watchdog_stall = std::chrono::milliseconds(static_cast<long long>(
-      number_or(options, "watchdog-stall-ms", 0.0)));
-  ropt.jobs = jobs;
-  ropt.observer = obs.context();
-
-  TelemetrySession tel(options, jobs, grid.points(config).size(),
-                       !option_or(options, "trace-out", "").empty());
-  ropt.telemetry = tel.telemetry();
-
-  const resilience::ResilientSweepResult sweep =
-      resilience::run_resilient_sweep(config, grid, ropt);
-
-  std::vector<std::string> columns = {
-      "policy", "rho", "capacity", "storm seed", "fuel (A-s)",
-      "bled (A-s)", "unserved (A-s)", "sleeps"};
-  if (config.cap.enabled) {
-    columns.push_back("capped");
-  }
-  if (config.stacks.enabled) {
-    columns.push_back("stacks");
-    columns.push_back("dist");
-  }
-  columns.push_back("status");
-  report::Table table("sweep: " + config.trace.name(), std::move(columns));
-  for (const resilience::ResilientPoint& p : sweep.points) {
-    const par::SweepPoint& point = p.result.point;
-    if (p.ok) {
-      std::vector<std::string> cells = {
-          sim::to_string(point.policy), report::cell(point.rho, 2),
-          report::cell(point.capacity.value(), 1),
-          std::to_string(point.storm_seed),
-          report::cell(p.result.result.totals.fuel.value(), 2),
-          report::cell(p.result.result.totals.bled.value(), 2),
-          report::cell(p.result.result.totals.unserved.value(), 2),
-          std::to_string(p.result.result.sleeps)};
-      if (config.cap.enabled) {
-        cells.push_back(p.result.result.cap.has_value()
-                            ? std::to_string(
-                                  p.result.result.cap->slots_capped)
-                            : "-");
-      }
-      if (config.stacks.enabled) {
-        if (p.result.result.stacks.has_value()) {
-          cells.push_back(
-              std::to_string(p.result.result.stacks->stacks.size()));
-          cells.push_back(
-              stacks::to_string(p.result.result.stacks->distribution));
-        } else {
-          cells.push_back("-");
-          cells.push_back("-");
-        }
-      }
-      cells.push_back(p.replayed ? "replayed" : "ok");
-      table.add_row(std::move(cells));
-    } else {
-      std::vector<std::string> cells = {
-          sim::to_string(point.policy), report::cell(point.rho, 2),
-          report::cell(point.capacity.value(), 1),
-          std::to_string(point.storm_seed), "-", "-", "-", "-"};
-      if (config.cap.enabled) {
-        cells.push_back("-");
-      }
-      if (config.stacks.enabled) {
-        cells.push_back("-");
-        cells.push_back("-");
-      }
-      cells.push_back(std::string("quarantined: ") +
-                      resilience::to_string(p.error.kind));
-      table.add_row(std::move(cells));
-    }
-  }
-  std::printf("%s\n", table.to_ascii().c_str());
-
-  report::SweepBenchReport bench;
-  bench.trace_name = config.trace.name();
-  bench.points = sweep.stats.points;
-  bench.jobs = sweep.stats.jobs;
-  bench.wall_seconds = sweep.stats.wall_seconds;
-  bench.points_per_second = sweep.stats.points_per_second();
-  for (const resilience::ResilientPoint& p : sweep.points) {
-    report::SweepPointRow row =
-        make_point_row(p.result.point, p.result.result);
-    row.ok = p.ok;
-    row.attempts = p.attempts;
-    row.replayed = p.replayed;
-    if (!p.ok) {
-      row.error = resilience::to_string(p.error.kind);
-      row.fuel = row.bled = row.unserved = 0.0;
-      row.duration = row.storage_end = row.latency = 0.0;
-      row.slots = row.sleeps = 0;
-    } else {
-      accumulate_cap(bench, p.result.result);
-      accumulate_stacks(bench, p.result.result);
-      accumulate_audit(bench, p.result.result);
-    }
-    bench.results.push_back(std::move(row));
-  }
-  const resilience::ResilienceStats& rs = sweep.resilience;
-  bench.resilience.enabled = true;
-  bench.resilience.scheduled = rs.scheduled;
-  bench.resilience.replayed = rs.replayed;
-  bench.resilience.retries = rs.retries;
-  bench.resilience.quarantined = rs.quarantined;
-  bench.resilience.rounds = rs.rounds;
-  bench.resilience.spot_checks = rs.spot_checks;
-  bench.resilience.torn_tail_recovered = rs.torn_tail_recovered;
-  bench.resilience.torn_bytes_dropped = rs.torn_bytes_dropped;
-  bench.resilience.watchdog_stalls = rs.watchdog_stalls;
-  bench.resilience.max_retries = ropt.contract.max_retries;
-  bench.resilience.point_deadline_slots =
-      ropt.contract.point_deadline_slots;
-  bench.resilience.cap_enabled = config.cap.enabled;
-  bench.resilience.capped_ok = rs.capped_ok;
-
-  std::printf("%zu points at %zu jobs: %.3f s wall (%.1f points/s)\n",
-              bench.points, bench.jobs, bench.wall_seconds,
-              bench.points_per_second);
-  std::printf(
-      "resilience: %zu scheduled | %zu replayed | %zu retries | "
-      "%zu quarantined | %zu rounds | %zu spot-checks | %zu stalls\n",
-      rs.scheduled, rs.replayed, rs.retries, rs.quarantined, rs.rounds,
-      rs.spot_checks, rs.watchdog_stalls);
-  if (config.cap.enabled) {
-    std::printf("power cap: %zu points throttled to completion | "
-                "%llu capped slots | %llu budget violations\n",
-                rs.capped_ok,
-                static_cast<unsigned long long>(bench.capped_slots),
-                static_cast<unsigned long long>(bench.cap_violations));
-  }
-  if (bench.stacks_enabled) {
-    std::printf("stacks: %zu multi-stack points | %llu stack startups | "
-                "max wear %.6g\n",
-                bench.stack_points,
-                static_cast<unsigned long long>(bench.stack_startups),
-                bench.stack_max_wear);
-  }
-  print_audit_rollup(bench);
-  if (rs.torn_tail_recovered) {
-    std::printf("journal torn tail recovered (%zu bytes dropped)\n",
-                rs.torn_bytes_dropped);
-  }
-  for (std::size_t k = 0; k < sweep.points.size(); ++k) {
-    const resilience::ResilientPoint& p = sweep.points[k];
-    if (!p.ok) {
-      std::printf("quarantined point %zu after %zu attempts: %s: %s\n", k,
-                  p.attempts, resilience::to_string(p.error.kind),
-                  p.error.detail.c_str());
-    }
-  }
-
-  tel.finish(bench, obs.sink());
-
-  const std::string out = option_or(options, "out", "");
-  if (!out.empty()) {
-    report::write_sweep_bench_file(out, bench);
-    std::printf("wrote sweep bench to %s\n", out.c_str());
-  }
-  obs.finish();
-  return 0;
+  sweep.spot_checks =
+      checked_index_or(options, "spot-checks", sweep.spot_checks);
+  sweep.watchdog_stall = std::chrono::milliseconds(
+      checked_index_or(options, "watchdog-stall-ms", 0));
+  return sweep;
 }
 
 int cmd_sweep(const Options& options) {
   const sim::ExperimentConfig config = build_config(options);
   const par::SweepGrid grid = parse_sweep_grid(options);
+  par::SweepOptions sweep_options = parse_sweep_options(options);
+  const std::size_t jobs = sweep_options.jobs;
 
-  const auto jobs =
-      static_cast<std::size_t>(number_or(options, "jobs", 1.0));
-
-  ObsSession obs(options);
-
-  // Any resilience flag routes to the journaling/retry/watchdog runner;
-  // without them the plain engine below runs byte-for-byte as before.
+  // A resilience flag adds the status column and the `resilience`
+  // report block; the scheduler is the same either way.
+  bool resilient = false;
   for (const char* flag :
        {"journal", "resume", "max-retries", "point-deadline",
         "watchdog-stall-ms", "spot-checks", "inject-fail",
         "unserved-budget"}) {
-    if (options.find(flag) != options.end()) {
-      return cmd_sweep_resilient(config, grid, options, obs, jobs);
-    }
+    resilient = resilient || options.find(flag) != options.end();
   }
 
+  ObsSession obs(options);
+
   // Single-job reference first (same config): it provides the speedup
-  // baseline and the bit-identity check.
+  // baseline and the bit-identity check. It runs under the default
+  // contract, so sweeps with resilience flags (budgets, injected
+  // failures, replayed points) skip it.
   par::SweepResult serial;
   bool have_serial = false;
-  if (jobs != 1 && option_or(options, "serial-check", "on") != "off") {
+  if (!resilient && jobs != 1 &&
+      option_or(options, "serial-check", "on") != "off") {
     serial = par::run_sweep(config, grid);
     have_serial = true;
   }
 
   // The serial reference above runs without telemetry: shards observe
-  // only the measured parallel run, so snapshot totals equal its report.
+  // only the measured run, so snapshot totals equal its report.
   TelemetrySession tel(options, jobs, grid.points(config).size(),
                        !option_or(options, "trace-out", "").empty());
 
-  par::SweepOptions sweep_options;
-  sweep_options.jobs = jobs;
   sweep_options.observer = obs.context();
   sweep_options.telemetry = tel.telemetry();
   const par::SweepResult sweep = par::run_sweep(config, grid, sweep_options);
+  const resilience::ResilienceStats& rs = sweep.resilience;
 
   std::vector<std::string> columns = {
       "policy", "rho", "capacity", "storm seed", "fuel (A-s)",
@@ -1390,29 +1236,42 @@ int cmd_sweep(const Options& options) {
     columns.push_back("stacks");
     columns.push_back("dist");
   }
+  if (resilient) {
+    columns.push_back("status");
+  }
   report::Table table("sweep: " + config.trace.name(), std::move(columns));
   for (const par::SweepPointResult& p : sweep.points) {
+    const sim::SimulationResult& r = p.result;
     std::vector<std::string> cells = {
         sim::to_string(p.point.policy), report::cell(p.point.rho, 2),
         report::cell(p.point.capacity.value(), 1),
-        std::to_string(p.point.storm_seed),
-        report::cell(p.result.totals.fuel.value(), 2),
-        report::cell(p.result.totals.bled.value(), 2),
-        report::cell(p.result.totals.unserved.value(), 2),
-        std::to_string(p.result.sleeps)};
+        std::to_string(p.point.storm_seed)};
+    if (p.ok) {
+      cells.push_back(report::cell(r.totals.fuel.value(), 2));
+      cells.push_back(report::cell(r.totals.bled.value(), 2));
+      cells.push_back(report::cell(r.totals.unserved.value(), 2));
+      cells.push_back(std::to_string(r.sleeps));
+    } else {
+      cells.insert(cells.end(), 4, "-");
+    }
     if (config.cap.enabled) {
-      cells.push_back(p.result.cap.has_value()
-                          ? std::to_string(p.result.cap->slots_capped)
+      cells.push_back(p.ok && r.cap.has_value()
+                          ? std::to_string(r.cap->slots_capped)
                           : "-");
     }
     if (config.stacks.enabled) {
-      if (p.result.stacks.has_value()) {
-        cells.push_back(std::to_string(p.result.stacks->stacks.size()));
-        cells.push_back(stacks::to_string(p.result.stacks->distribution));
+      if (p.ok && r.stacks.has_value()) {
+        cells.push_back(std::to_string(r.stacks->stacks.size()));
+        cells.push_back(stacks::to_string(r.stacks->distribution));
       } else {
         cells.push_back("-");
         cells.push_back("-");
       }
+    }
+    if (resilient) {
+      cells.push_back(p.ok ? (p.replayed ? "replayed" : "ok")
+                           : std::string("quarantined: ") +
+                                 resilience::to_string(p.error.kind));
     }
     table.add_row(std::move(cells));
   }
@@ -1429,14 +1288,47 @@ int cmd_sweep(const Options& options) {
   bench.batch_merged_lane_slots = sweep.stats.batch_merged_lane_slots;
   bench.batch_splits = sweep.stats.batch_splits;
   for (const par::SweepPointResult& p : sweep.points) {
-    bench.results.push_back(make_point_row(p.point, p.result));
-    accumulate_cap(bench, p.result);
-    accumulate_stacks(bench, p.result);
-    accumulate_audit(bench, p.result);
+    report::SweepPointRow row = make_point_row(p.point, p.result);
+    row.ok = p.ok;
+    row.attempts = p.attempts;
+    row.replayed = p.replayed;
+    if (p.ok) {
+      accumulate_cap(bench, p.result);
+      accumulate_stacks(bench, p.result);
+      accumulate_audit(bench, p.result);
+    } else {
+      row.error = resilience::to_string(p.error.kind);
+    }
+    bench.results.push_back(std::move(row));
   }
+  if (resilient) {
+    bench.resilience.enabled = true;
+    bench.resilience.scheduled = rs.scheduled;
+    bench.resilience.replayed = rs.replayed;
+    bench.resilience.retries = rs.retries;
+    bench.resilience.quarantined = rs.quarantined;
+    bench.resilience.rounds = rs.rounds;
+    bench.resilience.spot_checks = rs.spot_checks;
+    bench.resilience.torn_tail_recovered = rs.torn_tail_recovered;
+    bench.resilience.torn_bytes_dropped = rs.torn_bytes_dropped;
+    bench.resilience.watchdog_stalls = rs.watchdog_stalls;
+    bench.resilience.max_retries = sweep_options.contract.max_retries;
+    bench.resilience.point_deadline_slots =
+        sweep_options.contract.point_deadline_slots;
+    bench.resilience.cap_enabled = config.cap.enabled;
+    bench.resilience.capped_ok = rs.capped_ok;
+  }
+
   std::printf("%zu points at %zu jobs: %.3f s wall (%.1f points/s)\n",
               bench.points, bench.jobs, bench.wall_seconds,
               bench.points_per_second);
+  if (resilient) {
+    std::printf(
+        "resilience: %zu scheduled | %zu replayed | %zu retries | "
+        "%zu quarantined | %zu rounds | %zu spot-checks | %zu stalls\n",
+        rs.scheduled, rs.replayed, rs.retries, rs.quarantined, rs.rounds,
+        rs.spot_checks, rs.watchdog_stalls);
+  }
   if (bench.cap_enabled) {
     std::printf("power cap: %zu/%zu points throttled | %llu capped slots | "
                 "%llu budget violations | %.1f J deferred\n",
@@ -1459,6 +1351,18 @@ int cmd_sweep(const Options& options) {
                 bench.batch_merged_lane_slots, bench.batch_splits);
   }
   print_audit_rollup(bench);
+  if (rs.torn_tail_recovered) {
+    std::printf("journal torn tail recovered (%zu bytes dropped)\n",
+                rs.torn_bytes_dropped);
+  }
+  for (std::size_t k = 0; k < sweep.points.size(); ++k) {
+    const par::SweepPointResult& p = sweep.points[k];
+    if (!p.ok) {
+      std::printf("quarantined point %zu after %zu attempts: %s: %s\n", k,
+                  p.attempts, resilience::to_string(p.error.kind),
+                  p.error.detail.c_str());
+    }
+  }
 
   bool diverged = false;
   if (have_serial) {
@@ -1487,6 +1391,13 @@ int cmd_sweep(const Options& options) {
     std::fprintf(stderr,
                  "error: parallel sweep diverged from the serial "
                  "reference (determinism bug)\n");
+    return 2;
+  }
+  if (!resilient && rs.quarantined > 0) {
+    // Without a resilience flag nobody asked for quarantine: a failed
+    // point is the sweep's runtime error, reported after the table.
+    std::fprintf(stderr, "error: sweep: %zu point(s) quarantined\n",
+                 rs.quarantined);
     return 2;
   }
   return 0;
@@ -1587,8 +1498,11 @@ int usage() {
       "           [--serial-check on|off] [--trace f.csv | --kind ...]\n"
       "           (--jobs 0 = all cores; with --jobs != 1 a --jobs 1\n"
       "           reference runs first for speedup and bit-identity)\n"
-      "           resilience (any flag engages the crash-safe runner):\n"
-      "           [--journal J.fcj]     fsync'd per-point result journal\n"
+      "           resilience (every sweep runs under the default\n"
+      "           contract; any flag adds a status column and a\n"
+      "           resilience report block):\n"
+      "           [--journal J.fcj]     result journal, one fsync per\n"
+      "                                 finished task (batch or point)\n"
       "           [--resume J.fcj]      replay J, run only the remainder\n"
       "           [--max-retries N]     retries before quarantine (2)\n"
       "           [--point-deadline S]  per-point simulated-slot budget\n"

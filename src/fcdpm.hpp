@@ -93,7 +93,6 @@
 #include "par/worker_pool.hpp"
 
 #include "resilience/journal.hpp"
-#include "resilience/resilient_sweep.hpp"
 #include "resilience/retry.hpp"
 #include "resilience/watchdog.hpp"
 

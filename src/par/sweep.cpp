@@ -3,16 +3,22 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "audit/audit.hpp"
 #include "batch/engine.hpp"
 #include "cap/governor.hpp"
+#include "common/contracts.hpp"
+#include "common/csv.hpp"
 #include "fault/injector.hpp"
 #include "fault/schedule.hpp"
 #include "par/worker_pool.hpp"
+#include "resilience/journal.hpp"
+#include "resilience/watchdog.hpp"
 #include "telemetry/sweep_telemetry.hpp"
 
 namespace fcdpm::par {
@@ -120,7 +126,7 @@ SweepPointResult run_point(const sim::ExperimentConfig& base,
                   batch::lane_eligible(hybrid, options);
     // The grid varies rho/capacity/seed but never the trace or device,
     // so one compiled trace serves every point. A direct caller without
-    // one (the resilience retry path) compiles its own.
+    // one compiles its own.
     std::optional<sim::CompiledTrace> local;
     const sim::CompiledTrace* trace = compiled;
     if (ran_batched && trace == nullptr) {
@@ -130,8 +136,8 @@ SweepPointResult run_point(const sim::ExperimentConfig& base,
 
     // The auditor is built after eligibility is known: batched lanes
     // always fail fast (the catch below self-heals them), reference
-    // runs fail fast only in strict mode (the escape is the resilience
-    // layer's contract_violation). Tamper models a batched-engine
+    // runs fail fast only in strict mode (the escape is the contract's
+    // contract_violation). Tamper models a batched-engine
     // defect, so it arms only on a batched lane — and never on the
     // replay.
     std::optional<audit::Auditor> auditor;
@@ -203,21 +209,36 @@ bool batch_point_eligible(const SweepPoint& point) {
   return point.storm_seed == 0 && point.stacks == 0;
 }
 
+// One scheduling round's tasks. Task t is chunk t while t <
+// chunks.size(), else single singles[t - chunks.size()].
 struct BatchPlan {
   /// Multi-point tasks: grid indices, equal rho, grid order.
   std::vector<std::vector<std::size_t>> chunks;
-  /// Points that run alone (ineligible, or a leftover group of one).
+  /// Points that run alone (ineligible, a leftover group of one, or a
+  /// retry).
   std::vector<std::size_t> singles;
+
+  [[nodiscard]] std::size_t tasks() const noexcept {
+    return chunks.size() + singles.size();
+  }
+  /// The grid indices task `t` settles.
+  [[nodiscard]] std::span<const std::size_t> members(std::size_t t) const {
+    if (t < chunks.size()) {
+      return chunks[t];
+    }
+    return {&singles[t - chunks.size()], 1};
+  }
 };
 
-// Group batch-eligible points by rho — one DPM policy and one idle
-// plan per task; the batch engine requires nothing more, and merging
-// across the capacity axis happens inside run_batch — then cut each
-// group into chunks of at most kBatchMax, preserving grid order.
-BatchPlan plan_batches(const std::vector<SweepPoint>& points) {
+// Group the batch-eligible points of `todo` by rho — one DPM policy and
+// one idle plan per task; the batch engine requires nothing more, and
+// merging across the capacity axis happens inside run_batch — then cut
+// each group into chunks of at most kBatchMax, preserving grid order.
+BatchPlan plan_batches(const std::vector<SweepPoint>& points,
+                       const std::vector<std::size_t>& todo) {
   BatchPlan plan;
   std::vector<std::pair<std::uint64_t, std::vector<std::size_t>>> groups;
-  for (std::size_t k = 0; k < points.size(); ++k) {
+  for (const std::size_t k : todo) {
     if (!batch_point_eligible(points[k])) {
       plan.singles.push_back(k);
       continue;
@@ -271,16 +292,37 @@ BatchPlan plan_batches(const std::vector<SweepPoint>& points) {
   return plan;
 }
 
+// Store one attempt's outcome in its grid slot. The attempt count is
+// the scheduler's, so the slot keeps its own.
+void settle(SweepPointResult& slot, SweepPointResult outcome) {
+  outcome.attempts = slot.attempts;
+  slot = std::move(outcome);
+}
+
+void fail(SweepPointResult& slot, resilience::PointError error) {
+  SweepPointResult failed;
+  failed.point = slot.point;
+  failed.ok = false;
+  failed.error = std::move(error);
+  settle(slot, std::move(failed));
+}
+
 // Run one multi-point task: every lane shares the compiled trace, one
-// DPM policy (rho is constant within a task) and one slot loop. A lane
-// whose hybrid turns out batch-ineligible runs alone through run_point
-// instead, and a fail-fast audit violation self-heals exactly like
-// run_point's batched path: replay that point on the reference engine and
-// record the fallback. Writes each point's result at its grid index.
+// DPM policy (rho is constant within a task) and one slot loop, under
+// the contract's per-lane slot budget and the worker's cancel token.
+// Each lane is one attempt held to the contract exactly as
+// execute_point holds a single: the injected failure fails its point
+// without running it, a lane whose hybrid turns out batch-ineligible
+// runs alone through execute_point, a fail-fast audit violation
+// self-heals on the reference engine, and an exhausted budget or a
+// contract breach fails that lane only. An exception out of the slot
+// loop (a watchdog cancel) fails every lane's attempt.
 void run_batch_chunk(const sim::ExperimentConfig& base,
                      const std::vector<SweepPoint>& points,
-                     const std::vector<std::size_t>& chunk,
+                     std::span<const std::size_t> chunk,
                      std::size_t storm_faults,
+                     const resilience::ExecutionContract& contract,
+                     sim::CancellationToken* cancel,
                      const sim::CompiledTrace& compiled,
                      std::vector<SweepPointResult>& results,
                      batch::BatchStats& stats) {
@@ -295,6 +337,7 @@ void run_batch_chunk(const sim::ExperimentConfig& base,
   // The engine clamps per lane: min(shared initial, lane capacity)
   // reproduces run_point's per-point initial_storage exactly.
   options.initial_storage = base.initial_storage;
+  options.cancel = cancel;
 
   std::vector<std::unique_ptr<core::FcOutputPolicy>> fcs;
   std::vector<std::unique_ptr<audit::Auditor>> auditors;
@@ -310,12 +353,16 @@ void run_batch_chunk(const sim::ExperimentConfig& base,
 
   for (const std::size_t k : chunk) {
     const SweepPoint& point = points[k];
+    if (k == contract.inject_fail_index) {
+      fail(results[k], resilience::injected_failure());
+      continue;
+    }
     config.storage_capacity = point.capacity;
     config.initial_storage = min(base.initial_storage, point.capacity);
     power::HybridPowerSource hybrid = sim::make_hybrid(config);
     if (!batch::lane_eligible(hybrid, options)) {
-      results[k] =
-          run_point(base, point, storm_faults, nullptr, 0, &compiled);
+      settle(results[k], execute_point(base, point, k, storm_faults,
+                                       contract, cancel, &compiled));
       continue;
     }
     hybrids.push_back(std::move(hybrid));
@@ -323,6 +370,7 @@ void run_batch_chunk(const sim::ExperimentConfig& base,
     batch::BatchLaneSpec lane;
     lane.fc = fcs.back().get();
     lane.hybrid = &hybrids.back();
+    lane.slot_budget = contract.point_deadline_slots;
     if (config.audit.enabled()) {
       audit::AuditSpec spec = config.audit;
       // Tamper is a per-point drill; batched sweeps disarm it (the
@@ -339,216 +387,219 @@ void run_batch_chunk(const sim::ExperimentConfig& base,
     return;
   }
 
-  std::vector<batch::LaneOutcome> outcomes =
-      batch::run_batch(compiled, dpm_policy, lanes, options, &stats);
+  std::vector<batch::LaneOutcome> outcomes;
+  try {
+    outcomes = batch::run_batch(compiled, dpm_policy, lanes, options, &stats);
+  } catch (const std::exception&) {
+    const resilience::PointError error = resilience::current_point_error();
+    for (const std::size_t k : lane_point) {
+      fail(results[k], error);
+    }
+    return;
+  }
 
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const std::size_t k = lane_point[i];
     batch::LaneOutcome& outcome = outcomes[i];
-    if (outcome.end == batch::LaneOutcome::End::Completed) {
-      results[k].point = points[k];
-      results[k].result = std::move(outcome.result);
-      results[k].ran_batched = true;
-      continue;
-    }
-    // AuditFailed (budgets are never set here): heal on the reference
-    // engine from fresh state, keeping the failed lane's tally.
-    sim::ExperimentConfig ref = base;
-    ref.simulation.engine = sim::Engine::Reference;
-    SweepPointResult healed = run_point(ref, points[k], storm_faults);
-    const audit::AuditStats failed =
-        outcome.result.audit.value_or(audit::AuditStats{});
-    if (!healed.result.audit.has_value()) {
-      healed.result.audit.emplace();
-      healed.result.audit->mode = static_cast<int>(base.audit.mode);
-    }
-    audit::record_engine_fallback(*healed.result.audit, failed);
-    results[k] = std::move(healed);
-  }
-}
-
-}  // namespace
-
-SweepResult run_sweep(const sim::ExperimentConfig& base,
-                      const SweepGrid& grid, const SweepOptions& options) {
-  const std::vector<SweepPoint> points = grid.points(base);
-
-  SweepResult out;
-  out.points.resize(points.size());
-  out.stats.points = points.size();
-
-  // Compile the trace once, up front, and share it read-only across all
-  // workers (CompiledTrace is immutable after construction).
-  std::optional<sim::CompiledTrace> compiled;
-  if (base.simulation.engine == sim::Engine::Batched) {
-    compiled.emplace(base.trace, base.device);
-  }
-  const sim::CompiledTrace* shared =
-      compiled.has_value() ? &*compiled : nullptr;
-
-  // Batched sweeps fan multi-point tasks instead of single points. The
-  // plan depends on the grid alone — never the job count — so results
-  // stay bit-identical across --jobs. Base configs the batch loop does
-  // not model (cap governors, strict/tampered audits, multi-stack
-  // sources) keep the per-point path, where batch::simulate falls back
-  // to the reference loop per point.
-  const bool batched_sweep =
-      base.simulation.engine == sim::Engine::Batched && !base.cap.enabled &&
-      base.audit.mode != audit::Mode::Strict &&
-      base.audit.tamper_slot == audit::npos && !base.stacks.enabled;
-  BatchPlan plan;
-  if (batched_sweep) {
-    plan = plan_batches(points);
-  } else {
-    plan.singles.resize(points.size());
-    for (std::size_t k = 0; k < points.size(); ++k) {
-      plan.singles[k] = k;
-    }
-  }
-  std::vector<batch::BatchStats> chunk_stats(plan.chunks.size());
-
-  const auto started = std::chrono::steady_clock::now();
-  {
-    WorkerPool pool(options.jobs);
-    out.stats.jobs = pool.thread_count();
-    telemetry::SweepTelemetry* tel = options.telemetry;
-
-    // Task t is chunk t while t < chunks.size(), else single
-    // plan.singles[t - chunks.size()].
-    const std::size_t tasks = plan.chunks.size() + plan.singles.size();
-
-    const auto run_single = [&](std::size_t k) {
-      out.points[k] =
-          run_point(base, points[k], grid.storm_faults, nullptr, 0, shared);
-    };
-    const auto run_chunk = [&](std::size_t c) {
-      run_batch_chunk(base, points, plan.chunks[c], grid.storm_faults,
-                      *shared, out.points, chunk_stats[c]);
-    };
-    // Per-point shard accounting shared by the single-point task body
-    // and the batched chunk body.
-    const auto account_point = [&](telemetry::WorkerShard& shard,
-                                   const SweepPointResult& done,
-                                   double wall_us) {
-      shard.points_done.fetch_add(1, std::memory_order_relaxed);
-      shard.slots.fetch_add(done.result.slots, std::memory_order_relaxed);
-      if (done.ran_batched) {
-        shard.batched_dispatches.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        shard.reference_dispatches.fetch_add(1, std::memory_order_relaxed);
-      }
-      if (done.result.cap.has_value()) {
-        shard.capped_slots.fetch_add(done.result.cap->slots_capped,
-                                     std::memory_order_relaxed);
-      }
-      if (done.result.audit.has_value()) {
-        const audit::AuditStats& a = *done.result.audit;
-        shard.audited_slots.fetch_add(a.slots_audited,
-                                      std::memory_order_relaxed);
-        shard.audit_violations.fetch_add(a.violations,
-                                         std::memory_order_relaxed);
-        shard.engine_fallbacks.fetch_add(a.engine_fallbacks,
-                                         std::memory_order_relaxed);
-      }
-      shard.wall_us.observe(wall_us);
-      shard.sim_s.observe(done.result.totals.duration.value());
-    };
-    const auto run_single_telemetry = [&](std::size_t worker,
-                                          std::size_t k) {
-      telemetry::WorkerShard& shard = tel->shards().shard(worker);
-      const std::uint64_t t0 = tel->now_ns();
-      run_single(k);
-      const std::uint64_t t1 = tel->now_ns();
-
-      const SweepPointResult& done = out.points[k];
-      shard.busy_ns.fetch_add(t1 - t0, std::memory_order_relaxed);
-      account_point(shard, done, static_cast<double>(t1 - t0) * 1e-3);
-
-      if (telemetry::LaneRecorder* lanes = tel->lanes()) {
-        telemetry::PointLane lane;
-        lane.start_ns = t0;
-        lane.end_ns = t1;
-        lane.point_index = static_cast<std::uint32_t>(k);
-        lane.attempt = 1;
-        lane.ok = true;
-        lane.batched = done.ran_batched;
-        lanes->record(worker, lane);
-      }
-    };
-    const auto run_chunk_telemetry = [&](std::size_t worker,
-                                         std::size_t c) {
-      const std::vector<std::size_t>& chunk = plan.chunks[c];
-      telemetry::WorkerShard& shard = tel->shards().shard(worker);
-      const std::uint64_t t0 = tel->now_ns();
-      run_chunk(c);
-      const std::uint64_t t1 = tel->now_ns();
-
-      shard.busy_ns.fetch_add(t1 - t0, std::memory_order_relaxed);
-      // The slot loop advances all lanes together, so per-point wall
-      // time is the chunk's share — the histogram keeps per-point
-      // semantics without pretending to per-lane timers.
-      const double per_point_us = static_cast<double>(t1 - t0) * 1e-3 /
-                                  static_cast<double>(chunk.size());
-      for (const std::size_t k : chunk) {
-        account_point(shard, out.points[k], per_point_us);
-      }
-
-      if (telemetry::LaneRecorder* lanes = tel->lanes()) {
-        // One lane per chunk: the span covers every point it carried.
-        telemetry::PointLane lane;
-        lane.start_ns = t0;
-        lane.end_ns = t1;
-        lane.point_index = static_cast<std::uint32_t>(chunk.front());
-        lane.attempt = 1;
-        lane.ok = true;
-        lane.batched = true;
-        lanes->record(worker, lane);
-      }
-    };
-
-    if (tel == nullptr) {
-      pool.run_indexed(tasks, [&](std::size_t t) {
-        if (t < plan.chunks.size()) {
-          run_chunk(t);
-        } else {
-          run_single(plan.singles[t - plan.chunks.size()]);
+    switch (outcome.end) {
+      case batch::LaneOutcome::End::Completed:
+        if (std::optional<resilience::PointError> breach =
+                resilience::contract_breach(outcome.result, contract)) {
+          fail(results[k], std::move(*breach));
+          break;
         }
-      });
-    } else {
-      pool.run_indexed_on_workers(
-          tasks, [&](std::size_t worker, std::size_t t) {
-            if (t < plan.chunks.size()) {
-              run_chunk_telemetry(worker, t);
-            } else {
-              run_single_telemetry(worker,
-                                   plan.singles[t - plan.chunks.size()]);
-            }
-          });
+        results[k].result = std::move(outcome.result);
+        results[k].ran_batched = true;
+        results[k].ok = true;
+        break;
+      case batch::LaneOutcome::End::BudgetExhausted:
+        // The message batch::simulate throws for the same exhaustion.
+        fail(results[k],
+             {resilience::PointErrorKind::deadline_exceeded,
+              "slot budget exhausted: " +
+                  std::to_string(contract.point_deadline_slots) +
+                  " slots simulated, " + std::to_string(compiled.size()) +
+                  " required"});
+        break;
+      case batch::LaneOutcome::End::AuditFailed: {
+        // Heal on the reference engine from fresh state, keeping the
+        // failed lane's tally.
+        sim::ExperimentConfig ref = base;
+        ref.simulation.engine = sim::Engine::Reference;
+        SweepPointResult healed = execute_point(ref, points[k], k, storm_faults,
+                                                contract, cancel);
+        if (healed.ok) {
+          if (!healed.result.audit.has_value()) {
+            healed.result.audit.emplace();
+            healed.result.audit->mode = static_cast<int>(base.audit.mode);
+          }
+          audit::record_engine_fallback(
+              *healed.result.audit,
+              outcome.result.audit.value_or(audit::AuditStats{}));
+        }
+        settle(results[k], std::move(healed));
+        break;
+      }
     }
   }
-
-  for (const batch::BatchStats& s : chunk_stats) {
-    out.stats.batch_merge_sets += s.merge_sets;
-    out.stats.batch_merged_lane_slots += s.merged_lane_slots;
-    out.stats.batch_splits += s.splits;
-  }
-  for (const SweepPointResult& r : out.points) {
-    if (r.ran_batched) {
-      ++out.stats.points_batched;
-    }
-  }
-  out.stats.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    started)
-          .count();
-
-  if (options.observer != nullptr) {
-    publish_sweep_stats(*options.observer, out.stats);
-  }
-  return out;
 }
 
-void publish_sweep_stats(obs::Context& obs, const SweepRunStats& stats) {
+bool same_bits(double a, double b) noexcept {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+bool same_point(const SweepPoint& a, const SweepPoint& b) noexcept {
+  return a.policy == b.policy && same_bits(a.rho, b.rho) &&
+         same_bits(a.capacity.value(), b.capacity.value()) &&
+         a.storm_seed == b.storm_seed && a.stacks == b.stacks &&
+         a.distribution == b.distribution;
+}
+
+/// Bitwise equality over the journaled cap-governor block (absent on
+/// cap-off runs; both sides must agree it is absent).
+bool same_cap(const std::optional<cap::CapStats>& a,
+              const std::optional<cap::CapStats>& b) {
+  if (a.has_value() != b.has_value()) {
+    return false;
+  }
+  if (!a.has_value()) {
+    return true;
+  }
+  if (a->slots_seen != b->slots_seen ||
+      a->slots_capped != b->slots_capped ||
+      a->level_reductions != b->level_reductions ||
+      a->level_restorations != b->level_restorations ||
+      a->budget_violations != b->budget_violations ||
+      !same_bits(a->energy_deferred.value(), b->energy_deferred.value()) ||
+      !same_bits(a->time_deferred.value(), b->time_deferred.value()) ||
+      a->time_at_level_s.size() != b->time_at_level_s.size()) {
+    return false;
+  }
+  for (std::size_t k = 0; k < a->time_at_level_s.size(); ++k) {
+    if (!same_bits(a->time_at_level_s[k], b->time_at_level_s[k])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Equality over the journaled audit block (absent on audit-off runs;
+/// both sides must agree it is absent). Counters are exact integers,
+/// so this is also bitwise.
+bool same_audit(const std::optional<audit::AuditStats>& a,
+                const std::optional<audit::AuditStats>& b) {
+  if (a.has_value() != b.has_value()) {
+    return false;
+  }
+  if (!a.has_value()) {
+    return true;
+  }
+  return a->mode == b->mode && a->slots_audited == b->slots_audited &&
+         a->segments_audited == b->segments_audited &&
+         a->checks_run == b->checks_run && a->violations == b->violations &&
+         a->fuel_violations == b->fuel_violations &&
+         a->storage_violations == b->storage_violations &&
+         a->cap_violations == b->cap_violations &&
+         a->stacks_violations == b->stacks_violations &&
+         a->engine_fallbacks == b->engine_fallbacks &&
+         a->first_violation_slot == b->first_violation_slot &&
+         a->first_violation == b->first_violation;
+}
+
+/// Bitwise equality over every observable (journaled) result field.
+bool same_observable(const sim::SimulationResult& a,
+                     const sim::SimulationResult& b) {
+  return a.trace_name == b.trace_name && a.dpm_policy == b.dpm_policy &&
+         a.fc_policy == b.fc_policy &&
+         same_bits(a.totals.fuel.value(), b.totals.fuel.value()) &&
+         same_bits(a.totals.delivered_energy.value(),
+                   b.totals.delivered_energy.value()) &&
+         same_bits(a.totals.load_energy.value(),
+                   b.totals.load_energy.value()) &&
+         same_bits(a.totals.bled.value(), b.totals.bled.value()) &&
+         same_bits(a.totals.unserved.value(), b.totals.unserved.value()) &&
+         same_bits(a.totals.duration.value(), b.totals.duration.value()) &&
+         a.slots == b.slots && a.sleeps == b.sleeps &&
+         same_bits(a.latency_added.value(), b.latency_added.value()) &&
+         same_bits(a.storage_initial.value(), b.storage_initial.value()) &&
+         same_bits(a.storage_end.value(), b.storage_end.value()) &&
+         same_bits(a.storage_min.value(), b.storage_min.value()) &&
+         same_bits(a.storage_max.value(), b.storage_max.value()) &&
+         same_cap(a.cap, b.cap) && same_audit(a.audit, b.audit);
+}
+
+// Resume: load the journal, check its fingerprint, splice every record
+// into its grid slot, then re-simulate a deterministic sample of the
+// replayed points and hold the journal to bit-identity — that catches
+// a journal from a different build or a tampered record that still
+// checksums. Returns the journal's valid byte count (where appends
+// continue).
+std::size_t replay_journal(const sim::ExperimentConfig& base,
+                           const SweepGrid& grid,
+                           const std::vector<SweepPoint>& points,
+                           std::uint64_t fingerprint,
+                           const SweepOptions& options,
+                           const sim::CompiledTrace* compiled,
+                           SweepResult& out) {
+  FCDPM_EXPECTS(!options.journal_path.empty(),
+                "--resume requires a journal path");
+  const resilience::JournalLoad load =
+      resilience::load_journal(options.journal_path);
+  if (load.header.fingerprint != fingerprint ||
+      load.header.points != points.size()) {
+    throw CsvError("journal does not match this sweep (grid fingerprint "
+                   "mismatch): " +
+                   options.journal_path);
+  }
+  out.resilience.torn_tail_recovered = load.torn_tail;
+  out.resilience.torn_bytes_dropped = load.dropped_bytes;
+  for (const resilience::JournalRecord& record : load.records) {
+    if (record.index >= points.size() ||
+        !same_point(record.point, points[record.index])) {
+      throw CsvError("journal record does not match grid point " +
+                     std::to_string(record.index) + ": " +
+                     options.journal_path);
+    }
+    SweepPointResult& slot = out.points[record.index];
+    slot.replayed = true;
+    slot.attempts = record.attempts;
+    slot.ok = record.ok;
+    if (record.ok) {
+      slot.result = record.result;
+    } else {
+      slot.error = record.error;
+    }
+    ++out.resilience.replayed;
+  }
+
+  std::vector<std::size_t> replayed_ok;
+  for (std::size_t k = 0; k < out.points.size(); ++k) {
+    if (out.points[k].replayed && out.points[k].ok) {
+      replayed_ok.push_back(k);
+    }
+  }
+  const std::size_t checks = std::min(options.spot_checks, replayed_ok.size());
+  for (std::size_t c = 0; c < checks; ++c) {
+    const std::size_t k =
+        replayed_ok[c * replayed_ok.size() / checks];  // evenly spaced
+    const SweepPointResult fresh =
+        run_point(base, points[k], grid.storm_faults, nullptr, 0, compiled);
+    if (!same_observable(fresh.result, out.points[k].result)) {
+      throw CsvError("journal spot-check failed at grid point " +
+                     std::to_string(k) +
+                     ": replayed result is not bit-identical to "
+                     "re-simulation: " +
+                     options.journal_path);
+    }
+    ++out.resilience.spot_checks;
+  }
+  return load.valid_bytes;
+}
+
+// The end-of-sweep gauges, published once per sweep. No-op when the
+// observer is inactive.
+void publish_sweep_stats(obs::Context& obs, const SweepRunStats& stats,
+                         const resilience::ResilienceStats& rs) {
   if (!obs.active()) {
     return;
   }
@@ -566,6 +617,303 @@ void publish_sweep_stats(obs::Context& obs, const SweepRunStats& stats) {
     obs.gauge("par.sweep.batch_splits",
               static_cast<double>(stats.batch_splits));
   }
+  obs.gauge("resilience.scheduled", static_cast<double>(rs.scheduled));
+  obs.gauge("resilience.replayed", static_cast<double>(rs.replayed));
+  obs.gauge("resilience.retries", static_cast<double>(rs.retries));
+  obs.gauge("resilience.quarantined", static_cast<double>(rs.quarantined));
+  obs.gauge("resilience.capped_ok", static_cast<double>(rs.capped_ok));
+  obs.gauge("resilience.rounds", static_cast<double>(rs.rounds));
+  obs.gauge("resilience.spot_checks", static_cast<double>(rs.spot_checks));
+  obs.gauge("resilience.watchdog_stalls",
+            static_cast<double>(rs.watchdog_stalls));
+  obs.gauge("resilience.torn_bytes_dropped",
+            static_cast<double>(rs.torn_bytes_dropped));
+}
+
+}  // namespace
+
+SweepPointResult execute_point(const sim::ExperimentConfig& base,
+                               const SweepPoint& point,
+                               std::size_t point_index,
+                               std::size_t storm_faults,
+                               const resilience::ExecutionContract& contract,
+                               sim::CancellationToken* cancel,
+                               const sim::CompiledTrace* compiled) {
+  SweepPointResult out;
+  out.point = point;
+  if (point_index == contract.inject_fail_index) {
+    fail(out, resilience::injected_failure());
+    return out;
+  }
+  try {
+    out = run_point(base, point, storm_faults, cancel,
+                    contract.point_deadline_slots, compiled);
+  } catch (const std::exception&) {
+    fail(out, resilience::current_point_error());
+    return out;
+  }
+  if (std::optional<resilience::PointError> breach =
+          resilience::contract_breach(out.result, contract)) {
+    fail(out, std::move(*breach));
+  }
+  return out;
+}
+
+SweepResult run_sweep(const sim::ExperimentConfig& base,
+                      const SweepGrid& grid, const SweepOptions& options) {
+  const std::vector<SweepPoint> points = grid.points(base);
+  const resilience::ExecutionContract& contract = options.contract;
+  const std::size_t max_attempts = 1 + contract.max_retries;
+
+  SweepResult out;
+  out.points.resize(points.size());
+  for (std::size_t k = 0; k < points.size(); ++k) {
+    out.points[k].point = points[k];
+  }
+  out.stats.points = points.size();
+
+  // Compile the trace once, up front, and share it read-only across all
+  // workers (CompiledTrace is immutable after construction).
+  std::optional<sim::CompiledTrace> compiled;
+  if (base.simulation.engine == sim::Engine::Batched) {
+    compiled.emplace(base.trace, base.device);
+  }
+  const sim::CompiledTrace* shared =
+      compiled.has_value() ? &*compiled : nullptr;
+
+  std::optional<resilience::Journal> journal;
+  if (!options.journal_path.empty() || options.resume) {
+    const std::uint64_t fingerprint =
+        resilience::grid_fingerprint(base, points, grid.storm_faults);
+    if (options.resume) {
+      const std::size_t valid_bytes = replay_journal(
+          base, grid, points, fingerprint, options, shared, out);
+      journal.emplace(resilience::Journal::open_for_append(
+          options.journal_path, valid_bytes));
+    } else {
+      journal.emplace(resilience::Journal::create(
+          options.journal_path,
+          {base.trace.name(), points.size(), fingerprint}));
+    }
+  }
+
+  std::vector<std::size_t> todo;
+  for (std::size_t k = 0; k < points.size(); ++k) {
+    if (!out.points[k].replayed) {
+      todo.push_back(k);
+    }
+  }
+  out.resilience.scheduled = todo.size();
+
+  // Round 0: batched sweeps fan multi-point tasks instead of single
+  // points. The plan depends on the grid alone — never the job count —
+  // so results stay bit-identical across --jobs. Base configs the batch
+  // loop does not model (cap governors, strict/tampered audits,
+  // multi-stack sources) keep the per-point path, where
+  // batch::simulate falls back to the reference loop per point.
+  const bool batched_sweep =
+      base.simulation.engine == sim::Engine::Batched && !base.cap.enabled &&
+      base.audit.mode != audit::Mode::Strict &&
+      base.audit.tamper_slot == audit::npos && !base.stacks.enabled;
+  BatchPlan plan;
+  if (batched_sweep) {
+    plan = plan_batches(points, todo);
+  } else {
+    plan.singles = std::move(todo);
+  }
+  std::vector<batch::BatchStats> chunk_stats(plan.chunks.size());
+
+  const auto started = std::chrono::steady_clock::now();
+  {
+    WorkerPool pool(options.jobs);
+    out.stats.jobs = pool.thread_count();
+    telemetry::SweepTelemetry* tel = options.telemetry;
+
+    std::vector<sim::CancellationToken> tokens(pool.thread_count());
+    std::optional<resilience::Watchdog> watchdog;
+    if (options.watchdog_stall.count() > 0) {
+      watchdog.emplace(pool.thread_count(),
+                       resilience::WatchdogConfig{options.watchdog_poll,
+                                                  options.watchdog_stall,
+                                                  true});
+    }
+
+    // Per-worker shard accounting for one settled attempt at one point.
+    const auto account = [&](telemetry::WorkerShard& shard,
+                             const SweepPointResult& done, double wall_us) {
+      shard.wall_us.observe(wall_us);
+      if (!done.ok) {
+        (done.attempts >= max_attempts ? shard.points_quarantined
+                                       : shard.points_retried)
+            .fetch_add(1, std::memory_order_relaxed);
+        return;  // a failed attempt has no trustworthy result fields
+      }
+      shard.points_done.fetch_add(1, std::memory_order_relaxed);
+      shard.slots.fetch_add(done.result.slots, std::memory_order_relaxed);
+      (done.ran_batched ? shard.batched_dispatches
+                        : shard.reference_dispatches)
+          .fetch_add(1, std::memory_order_relaxed);
+      if (done.result.cap.has_value()) {
+        shard.capped_slots.fetch_add(done.result.cap->slots_capped,
+                                     std::memory_order_relaxed);
+      }
+      if (done.result.audit.has_value()) {
+        const audit::AuditStats& a = *done.result.audit;
+        shard.audited_slots.fetch_add(a.slots_audited,
+                                      std::memory_order_relaxed);
+        shard.audit_violations.fetch_add(a.violations,
+                                         std::memory_order_relaxed);
+        shard.engine_fallbacks.fetch_add(a.engine_fallbacks,
+                                         std::memory_order_relaxed);
+      }
+      shard.sim_s.observe(done.result.totals.duration.value());
+    };
+
+    std::size_t round = 0;
+    std::map<std::size_t, std::vector<std::size_t>> retry_rounds;
+    while (plan.tasks() > 0) {
+      ++out.resilience.rounds;
+      pool.run_indexed_on_workers(
+          plan.tasks(), [&](std::size_t worker, std::size_t t) {
+            const std::span<const std::size_t> members = plan.members(t);
+            const bool chunk = t < plan.chunks.size();
+            sim::CancellationToken& token = tokens[worker];
+            token.reset();
+            if (watchdog.has_value()) {
+              watchdog->begin_work(worker, &token);
+            }
+            const std::uint64_t t0 = tel != nullptr ? tel->now_ns() : 0;
+            if (chunk) {
+              run_batch_chunk(base, points, members, grid.storm_faults,
+                              contract, &token, *shared, out.points,
+                              chunk_stats[t]);
+            } else {
+              const std::size_t k = members.front();
+              settle(out.points[k],
+                     execute_point(base, points[k], k, grid.storm_faults,
+                                   contract, &token, shared));
+            }
+            if (watchdog.has_value()) {
+              watchdog->end_work(worker);
+            }
+
+            if (tel != nullptr) {
+              const std::uint64_t t1 = tel->now_ns();
+              telemetry::WorkerShard& shard = tel->shards().shard(worker);
+              shard.busy_ns.fetch_add(t1 - t0, std::memory_order_relaxed);
+              shard.heartbeats.fetch_add(token.heartbeat(),
+                                         std::memory_order_relaxed);
+              // The slot loop advances a chunk's lanes together, so
+              // per-point wall time is the task's share.
+              const double per_point_us = static_cast<double>(t1 - t0) *
+                                          1e-3 /
+                                          static_cast<double>(members.size());
+              telemetry::PointLane lane;
+              lane.ok = true;
+              for (const std::size_t k : members) {
+                const SweepPointResult& done = out.points[k];
+                account(shard, done, per_point_us);
+                lane.ok = lane.ok && done.ok;
+                lane.quarantined = lane.quarantined ||
+                                   (!done.ok && done.attempts >= max_attempts);
+              }
+              if (telemetry::LaneRecorder* lanes = tel->lanes()) {
+                // One span per task: a chunk's covers every point it
+                // carried.
+                const SweepPointResult& first = out.points[members.front()];
+                lane.start_ns = t0;
+                lane.end_ns = t1;
+                lane.point_index = static_cast<std::uint32_t>(members.front());
+                lane.attempt = static_cast<std::uint32_t>(first.attempts);
+                lane.batched = chunk || (first.ok && first.ran_batched);
+                lanes->record(worker, lane);
+              }
+            }
+
+            // Group commit: every point this task settled — ok, or its
+            // final failed attempt — in one write and one fsync, before
+            // anything later can depend on it. A crash loses at most
+            // the tasks in flight, never a committed point.
+            if (journal.has_value()) {
+              std::vector<resilience::JournalRecord> records;
+              records.reserve(members.size());
+              for (const std::size_t k : members) {
+                const SweepPointResult& done = out.points[k];
+                if (!done.ok && done.attempts < max_attempts) {
+                  continue;
+                }
+                resilience::JournalRecord& record = records.emplace_back();
+                record.index = k;
+                record.point = points[k];
+                record.attempts = done.attempts;
+                record.ok = done.ok;
+                if (done.ok) {
+                  record.result = done.result;
+                } else {
+                  record.error = done.error;
+                }
+              }
+              journal->append(records);
+            }
+          });
+
+      // Serial post-pass in task order: the deterministic retry
+      // schedule. A failed point goes back as a single.
+      for (std::size_t t = 0; t < plan.tasks(); ++t) {
+        for (const std::size_t k : plan.members(t)) {
+          SweepPointResult& slot = out.points[k];
+          if (slot.ok || slot.attempts >= max_attempts) {
+            continue;
+          }
+          const std::size_t delay = resilience::backoff_delay_rounds(
+              contract.backoff_seed, k, slot.attempts,
+              contract.max_backoff_exponent);
+          retry_rounds[round + delay].push_back(k);
+          ++slot.attempts;
+          ++out.resilience.retries;
+        }
+      }
+      plan = BatchPlan{};
+      if (!retry_rounds.empty()) {
+        const auto head = retry_rounds.begin();
+        round = head->first;
+        plan.singles = std::move(head->second);
+        retry_rounds.erase(head);
+      }
+    }
+
+    if (watchdog.has_value()) {
+      watchdog->stop();
+      out.resilience.watchdog_stalls = watchdog->stalls_detected();
+    }
+  }
+  out.stats.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    started)
+          .count();
+
+  for (const batch::BatchStats& s : chunk_stats) {
+    out.stats.batch_merge_sets += s.merge_sets;
+    out.stats.batch_merged_lane_slots += s.merged_lane_slots;
+    out.stats.batch_splits += s.splits;
+  }
+  for (const SweepPointResult& r : out.points) {
+    if (r.ran_batched) {
+      ++out.stats.points_batched;
+    }
+    if (!r.ok) {
+      ++out.resilience.quarantined;
+    } else if (r.result.cap.has_value() && r.result.cap->slots_capped > 0) {
+      // Points that survived only by throttling — the governor's
+      // headline number for brownout reports.
+      ++out.resilience.capped_ok;
+    }
+  }
+
+  if (options.observer != nullptr) {
+    publish_sweep_stats(*options.observer, out.stats, out.resilience);
+  }
+  return out;
 }
 
 }  // namespace fcdpm::par

@@ -1,4 +1,4 @@
-// Deterministic parallel sweep engine.
+// Deterministic parallel sweep engine — the one sweep scheduler.
 //
 // A sweep grid (policy x rho x capacity x fault-storm seed) is fanned
 // across the worker pool; every worker builds its *own* policies,
@@ -7,12 +7,26 @@
 // index. Results are therefore bit-identical for any job count —
 // `--jobs 8` must reproduce `--jobs 1` exactly, and the tests hold it
 // to that.
+//
+// Every point runs under a resilience::ExecutionContract. Scheduling
+// proceeds in *rounds*: round 0 is the batch plan (multi-point chunks
+// on the batched engine, singles otherwise) over every point not
+// replayed from a journal; a failed attempt goes back as a single,
+// pushed back by backoff_delay_rounds(), until its attempts exhaust the
+// contract and the point is quarantined. Rounds are a pure function of
+// the grid and the contract, so results and attempt counts are
+// reproducible for any job count. With a journal, each finished task
+// commits its settled points in one write and one fsync: a SIGKILL at
+// any instant loses at most the tasks in flight.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "obs/context.hpp"
+#include "resilience/retry.hpp"
 #include "sim/cancellation.hpp"
 #include "sim/compiled_trace.hpp"
 #include "sim/experiments.hpp"
@@ -64,18 +78,41 @@ struct SweepOptions {
   obs::Context* observer = nullptr;
   /// Live per-worker shards + optional lane recording. Must be sized
   /// with >= WorkerPool::resolve(jobs) shards and total_points >= the
-  /// grid size. Purely derived observation: results stay bit-identical
-  /// with this attached or not.
+  /// grid size. Purely derived observation: results and the journal
+  /// stay bit-identical with this attached or not.
   telemetry::SweepTelemetry* telemetry = nullptr;
+
+  /// Retries, deadline and budgets every attempt runs under.
+  resilience::ExecutionContract contract;
+  /// Journal file to create (or, with `resume`, to continue). Empty =
+  /// run without a journal (retry/quarantine still apply).
+  std::string journal_path;
+  /// Replay completed points from `journal_path` and schedule only the
+  /// remainder. The journal's grid fingerprint must match.
+  bool resume = false;
+  /// Replayed points re-simulated and compared bit-for-bit against the
+  /// journal (capped at the number of replayed ok points). A mismatch
+  /// throws: the journal does not describe this build/grid.
+  std::size_t spot_checks = 1;
+  /// Watchdog stall window; zero disables the watchdog entirely.
+  std::chrono::milliseconds watchdog_stall{0};
+  std::chrono::milliseconds watchdog_poll{25};
 };
 
 struct SweepPointResult {
   SweepPoint point;
+  /// Valid when `ok`.
   sim::SimulationResult result;
   /// The batch loop actually ran this point (engine == Batched and the
   /// point was batch-eligible — fault-free, single-stack, ungoverned,
   /// paper hybrid); false means the reference loop ran it.
   bool ran_batched = false;
+  /// False when the point is quarantined: `error` says why.
+  bool ok = true;
+  resilience::PointError error;
+  std::size_t attempts = 1;
+  /// Restored from the journal, not re-run.
+  bool replayed = false;
 };
 
 struct SweepRunStats {
@@ -101,31 +138,42 @@ struct SweepResult {
   /// One entry per grid point, in grid order (independent of jobs).
   std::vector<SweepPointResult> points;
   SweepRunStats stats;
+  resilience::ResilienceStats resilience;
 };
 
-/// Evaluate one grid point serially (what each worker runs). `cancel`
-/// and `slot_budget` thread straight into SimulationOptions: the
-/// resilience layer uses them for watchdog cancellation and the
-/// deterministic per-point deadline; the defaults leave the plain sweep
-/// path untouched. When `base.simulation.engine == sim::Engine::Batched`
-/// the point runs through batch::simulate (a B = 1 batch, bit-identical,
-/// falling back to the reference loop for ineligible points);
-/// `compiled` is the trace compiled once by run_sweep and shared
-/// read-only across points — nullptr makes the point compile its own.
+/// Evaluate one grid point serially. `cancel` and `slot_budget` thread
+/// straight into SimulationOptions (watchdog cancellation and the
+/// deterministic per-point deadline). When `base.simulation.engine ==
+/// sim::Engine::Batched` the point runs through batch::simulate (a
+/// B = 1 batch, bit-identical, falling back to the reference loop for
+/// ineligible points); `compiled` is the trace compiled once by
+/// run_sweep and shared read-only across points — nullptr makes the
+/// point compile its own. Throws whatever the run throws.
 [[nodiscard]] SweepPointResult run_point(
     const sim::ExperimentConfig& base, const SweepPoint& point,
-    std::size_t storm_faults, sim::CancellationToken* cancel = nullptr, std::size_t slot_budget = 0,
+    std::size_t storm_faults, sim::CancellationToken* cancel = nullptr,
+    std::size_t slot_budget = 0,
     const sim::CompiledTrace* compiled = nullptr);
 
-/// Fan the grid across `options.jobs` workers.
+/// One attempt at grid point `point_index` under `contract`: run_point
+/// with the contract's slot budget and `cancel`, every failure mapped
+/// onto the typed taxonomy, the result held to the contract's checks.
+/// Never throws — a poisoned point fails the point only (`ok == false`).
+[[nodiscard]] SweepPointResult execute_point(
+    const sim::ExperimentConfig& base, const SweepPoint& point,
+    std::size_t point_index, std::size_t storm_faults,
+    const resilience::ExecutionContract& contract,
+    sim::CancellationToken* cancel,
+    const sim::CompiledTrace* compiled = nullptr);
+
+/// Run the grid across `options.jobs` workers under the contract.
+/// Throws CsvError for journal-level failures (unwritable journal,
+/// unreadable header, fingerprint mismatch, failed spot-check);
+/// individual point failures never propagate — they are retried and
+/// ultimately quarantined in the result. Publishes the par.sweep.* and
+/// resilience.* gauges to `options.observer` once, at sweep end.
 [[nodiscard]] SweepResult run_sweep(const sim::ExperimentConfig& base,
                                     const SweepGrid& grid,
                                     const SweepOptions& options = {});
-
-/// Publish the end-of-sweep gauges — par.sweep.{points,jobs,wall_s,
-/// points_per_s} plus the batch merge accounting — in one place. Both
-/// run_sweep and the resilient runner call this exactly once at sweep
-/// end. No-op when the observer is inactive.
-void publish_sweep_stats(obs::Context& obs, const SweepRunStats& stats);
 
 }  // namespace fcdpm::par

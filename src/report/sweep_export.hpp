@@ -58,7 +58,7 @@ struct SweepPointRow {
 };
 
 /// Fault-tolerant execution accounting (`SweepReport::resilience`);
-/// emitted only when the resilient runner was engaged.
+/// emitted only when a resilience flag was given.
 struct SweepResilienceReport {
   bool enabled = false;
   std::size_t scheduled = 0;   ///< points simulated this run

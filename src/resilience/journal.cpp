@@ -847,17 +847,27 @@ void Journal::write_all(const std::string& bytes) {
   }
 }
 
-void Journal::append(const JournalRecord& record) {
-  const std::string payload = record_to_json(record);
-  std::string line = "R ";
-  line += to_hex(payload.size(), kLenDigits);
-  line += ' ';
-  line += to_hex(fnv1a64(payload), kSumDigits);
-  line += ' ';
-  line += payload;
-  line += '\n';
+void Journal::append(std::span<const JournalRecord> records) {
+  if (records.empty()) {
+    return;
+  }
+  std::string group;
+  for (const JournalRecord& record : records) {
+    const std::string payload = record_to_json(record);
+    group += "R ";
+    group += to_hex(payload.size(), kLenDigits);
+    group += ' ';
+    group += to_hex(fnv1a64(payload), kSumDigits);
+    group += ' ';
+    group += payload;
+    group += '\n';
+  }
   const std::lock_guard lock(*mutex_);
-  write_all(line);
+  write_all(group);
+}
+
+void Journal::append(const JournalRecord& record) {
+  append(std::span<const JournalRecord>(&record, 1));
 }
 
 // --- loader -----------------------------------------------------------------

@@ -3,17 +3,19 @@
 // Layout of a journal file:
 //
 //   <header JSON>\n                 -- written via temp + atomic rename
-//   R <len:8 hex> <fnv64:16 hex> <payload JSON>\n    -- appended, fsync'd
+//   R <len:8 hex> <fnv64:16 hex> <payload JSON>\n    -- appended
 //   R ...
 //
 // The header lands atomically before any record, so a journal is never
 // observed half-created. Each record is one length-prefixed, checksummed
 // JSONL line describing one completed grid point (ok result or typed
-// quarantine error); the writer fsyncs after every append, so at most
-// the record being written when the process dies can be torn. The
-// loader verifies prefix, length, checksum and terminator record by
-// record and *truncates* a torn tail instead of failing: a SIGKILL'd
-// sweep resumes from exactly the points that fully committed.
+// quarantine error). par::run_sweep commits each finished task's
+// records as one group: one write, then one fsync. A crash therefore
+// tears at most the groups in flight. The loader verifies prefix,
+// length, checksum and terminator record by record and *truncates* a
+// torn tail instead of failing: a SIGKILL'd sweep resumes from exactly
+// the records that fully committed, including the leading records of a
+// group cut short.
 //
 // Doubles round-trip bit-exactly: they are serialized as C99 hexfloats
 // ("0x1.9a6p+9") inside JSON strings.
@@ -22,6 +24,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -61,7 +64,7 @@ struct JournalRecord {
     const std::vector<par::SweepPoint>& points, std::size_t storm_faults);
 
 /// Append-only journal writer. Thread-safe: workers append completed
-/// points concurrently; each append is serialized and fsync'd.
+/// tasks concurrently; each append is serialized and fsync'd.
 class Journal {
  public:
   /// Create a fresh journal at `path`: the header is staged in a temp
@@ -82,7 +85,10 @@ class Journal {
   Journal& operator=(const Journal&) = delete;
   ~Journal();
 
-  /// Serialize, length-prefix, checksum, append, fsync. Thread-safe.
+  /// Group commit: serialize, length-prefix and checksum every record,
+  /// append them all in one write, then fsync once. Thread-safe.
+  void append(std::span<const JournalRecord> records);
+  /// The one-record group.
   void append(const JournalRecord& record);
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }

@@ -7,6 +7,7 @@
 #include "common/contracts.hpp"
 #include "common/csv.hpp"
 #include "core/slot_optimizer.hpp"
+#include "sim/cancellation.hpp"
 
 namespace fcdpm::resilience {
 
@@ -62,81 +63,63 @@ std::size_t backoff_delay_rounds(std::uint64_t seed,
   return 1 + static_cast<std::size_t>(draw % window);
 }
 
-PointOutcome execute_point(const sim::ExperimentConfig& base,
-                           const par::SweepPoint& point,
-                           std::size_t point_index,
-                           std::size_t storm_faults,
-                           const ExecutionContract& contract,
-                           sim::CancellationToken* cancel) {
-  PointOutcome out;
-  if (point_index == contract.inject_fail_index) {
-    out.error = {PointErrorKind::solver_diverged,
-                 "injected permanent failure (test hook)"};
-    return out;
-  }
+PointError injected_failure() {
+  return {PointErrorKind::solver_diverged,
+          "injected permanent failure (test hook)"};
+}
+
+PointError current_point_error() {
   try {
-    out.result = par::run_point(base, point, storm_faults, cancel,
-                                contract.point_deadline_slots);
+    throw;
   } catch (const sim::DeadlineExceededError& error) {
-    out.error = {PointErrorKind::deadline_exceeded, error.what()};
-    return out;
+    return {PointErrorKind::deadline_exceeded, error.what()};
   } catch (const sim::CancelledError& error) {
     // Cancellation reaches a point only through the watchdog declaring
     // it hung — same taxonomy bucket as a blown deadline.
-    out.error = {PointErrorKind::deadline_exceeded, error.what()};
-    return out;
+    return {PointErrorKind::deadline_exceeded, error.what()};
   } catch (const CsvError& error) {
-    out.error = {PointErrorKind::io_error, error.what()};
-    return out;
+    return {PointErrorKind::io_error, error.what()};
   } catch (const PreconditionError& error) {
-    out.error = {PointErrorKind::contract_violation, error.what()};
-    return out;
+    return {PointErrorKind::contract_violation, error.what()};
   } catch (const InvariantError& error) {
-    out.error = {PointErrorKind::contract_violation, error.what()};
-    return out;
+    return {PointErrorKind::contract_violation, error.what()};
   } catch (const audit::AuditError& error) {
     // Only reference-engine strict violations escape run_point (batched
-    // lane violations self-heal onto the reference engine inside it); there
-    // is no healthier engine to heal onto, so the point quarantines
-    // under the contract taxonomy.
-    out.error = {PointErrorKind::contract_violation,
-                 std::string("audit: ") + error.what()};
-    return out;
+    // lane violations self-heal onto the reference engine inside it);
+    // there is no healthier engine to heal onto, so the point
+    // quarantines under the contract taxonomy.
+    return {PointErrorKind::contract_violation,
+            std::string("audit: ") + error.what()};
   } catch (const std::exception& error) {
-    out.error = {PointErrorKind::contract_violation, error.what()};
-    return out;
+    return {PointErrorKind::contract_violation, error.what()};
   }
+}
 
-  if (!finite_result(out.result.result)) {
-    out.error = {PointErrorKind::non_finite_result,
-                 "non-finite value in observable result"};
-    return out;
+std::optional<PointError> contract_breach(const sim::SimulationResult& result,
+                                          const ExecutionContract& contract) {
+  if (!finite_result(result)) {
+    return PointError{PointErrorKind::non_finite_result,
+                      "non-finite value in observable result"};
   }
-  if (out.result.result.robustness.has_value() &&
-      out.result.result.robustness->solver_failures >
-          contract.solver_failure_budget) {
+  if (result.robustness.has_value() &&
+      result.robustness->solver_failures > contract.solver_failure_budget) {
     // core::classify(SolveStatus) buckets these as Numeric failures;
     // past the contract's budget the point counts as diverged.
-    out.error = {
+    return PointError{
         PointErrorKind::solver_diverged,
-        std::to_string(out.result.result.robustness->solver_failures) +
+        std::to_string(result.robustness->solver_failures) +
             " solver failures exceed budget of " +
             std::to_string(contract.solver_failure_budget) + " (" +
             core::to_string(core::SolveFailureKind::Numeric) + ")"};
-    return out;
   }
-  if (out.result.result.totals.unserved.value() >
-      contract.unserved_budget_as) {
-    out.error = {
+  if (result.totals.unserved.value() > contract.unserved_budget_as) {
+    return PointError{
         PointErrorKind::power_undeliverable,
-        "unserved charge " +
-            std::to_string(out.result.result.totals.unserved.value()) +
+        "unserved charge " + std::to_string(result.totals.unserved.value()) +
             " A-s exceeds budget of " +
             std::to_string(contract.unserved_budget_as) + " A-s"};
-    return out;
   }
-  out.ok = true;
-  return out;
+  return std::nullopt;
 }
 
 }  // namespace fcdpm::resilience

@@ -1,6 +1,6 @@
 // Per-point execution contract: typed error taxonomy, bounded retries
 // with deterministic seeded exponential backoff *ordering*, and the
-// single-attempt executor the resilient sweep runner schedules.
+// checks par::run_sweep applies to every attempt it schedules.
 //
 // Nothing here consults a wall clock: a retry's "backoff" is expressed
 // as the number of scheduling rounds the attempt is pushed back, drawn
@@ -12,10 +12,10 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 
-#include "par/sweep.hpp"
-#include "sim/cancellation.hpp"
+#include "sim/metrics.hpp"
 
 namespace fcdpm::resilience {
 
@@ -66,6 +66,20 @@ struct ExecutionContract {
   std::size_t inject_fail_index = std::numeric_limits<std::size_t>::max();
 };
 
+/// Bookkeeping for reports and the resilience.* metrics.
+struct ResilienceStats {
+  std::size_t scheduled = 0;    ///< points simulated this run
+  std::size_t replayed = 0;     ///< points restored from the journal
+  std::size_t retries = 0;      ///< re-attempts beyond each first try
+  std::size_t quarantined = 0;  ///< points that exhausted their retries
+  std::size_t capped_ok = 0;    ///< ok points the cap governor throttled
+  std::size_t rounds = 0;       ///< scheduling rounds executed
+  std::size_t spot_checks = 0;  ///< replayed points re-verified bitwise
+  bool torn_tail_recovered = false;
+  std::size_t torn_bytes_dropped = 0;
+  std::size_t watchdog_stalls = 0;
+};
+
 /// Deterministic backoff: how many scheduling rounds attempt `attempt`
 /// of point `point_index` waits before re-running (>= 1). The window is
 /// exponential in the attempt number; the draw within the window is a
@@ -77,22 +91,17 @@ struct ExecutionContract {
                                                std::size_t max_exponent)
     noexcept;
 
-/// Outcome of one attempt at one grid point.
-struct PointOutcome {
-  par::SweepPointResult result;  ///< valid when ok
-  bool ok = false;
-  PointError error;              ///< valid when !ok
-};
+/// The failure the contract's test hook injects at `inject_fail_index`.
+[[nodiscard]] PointError injected_failure();
 
-/// Run one attempt of `point` under the contract: wraps par::run_point
-/// with the slot-budget deadline and cancellation token, maps every
-/// failure mode onto the typed taxonomy, and verifies the result is
-/// finite. Never throws — a poisoned point must fail the point only.
-[[nodiscard]] PointOutcome execute_point(const sim::ExperimentConfig& base,
-                                         const par::SweepPoint& point,
-                                         std::size_t point_index,
-                                         std::size_t storm_faults,
-                                         const ExecutionContract& contract,
-                                         sim::CancellationToken* cancel);
+/// Map the exception in flight onto the typed taxonomy. Call only from
+/// inside a catch handler.
+[[nodiscard]] PointError current_point_error();
+
+/// The contract's checks on a completed attempt: every observable is
+/// finite, solver failures and unserved charge are within budget.
+/// nullopt when the result honors the contract.
+[[nodiscard]] std::optional<PointError> contract_breach(
+    const sim::SimulationResult& result, const ExecutionContract& contract);
 
 }  // namespace fcdpm::resilience

@@ -35,8 +35,11 @@ class DeadlineExceededError : public std::runtime_error {
 };
 
 /// Shared cancel flag + liveness heartbeat. All operations are lock-free
-/// atomics; one token is owned by one in-flight run at a time.
-class CancellationToken {
+/// atomics; one token is owned by one in-flight run at a time. The run
+/// beats it every slot, so each token takes a cache line of its own:
+/// par::run_sweep keeps one per worker in an array, and neighbours
+/// sharing a line would contend on every slot.
+class alignas(64) CancellationToken {
  public:
   CancellationToken() = default;
   CancellationToken(const CancellationToken&) = delete;

@@ -3,11 +3,11 @@
 //
 // A `SweepTelemetry` is created by the caller (the CLI, a bench, a
 // test) with the resolved worker count and the grid size, handed to
-// `par::run_sweep` / `resilience::run_resilient_sweep` via their
-// options, and read — concurrently, at any time — through
-// `snapshot()`. Snapshots are *derived, never consulted*: the engines
-// write shards and otherwise behave bit-identically to a telemetry-off
-// run (tests/par/test_sweep.cpp holds them to it).
+// `par::run_sweep` via its options, and read — concurrently, at any
+// time — through `snapshot()`. Snapshots are *derived, never
+// consulted*: the sweep writes shards and otherwise behaves
+// bit-identically to a telemetry-off run (tests/par/test_sweep.cpp
+// holds it to that).
 //
 // Monotonicity: every shard field only increases, and a snapshot reads
 // each field exactly once, so for any two snapshots taken in order,

@@ -104,8 +104,6 @@ TEST(SweepBatchedEngine, StormPointsFallBackPerPointAndStayIdentical) {
 
 // Storm-seed grid on the paper's experiment-1 config: batched chunks
 // and per-point reference fallbacks occur in one sweep.
-// The SweepHotEngine suite name predates the batched engine's B = 1
-// path; these cases now run Engine::Batched.
 par::SweepGrid storm_grid() {
   par::SweepGrid grid;
   grid.policies = {sim::PolicyKind::Conv, sim::PolicyKind::FcDpm};
@@ -116,7 +114,7 @@ par::SweepGrid storm_grid() {
   return grid;
 }
 
-TEST(SweepHotEngine, ReproducesTheReferenceSweepBitForBit) {
+TEST(SweepBatchedEngine, StormGridReproducesTheReferenceSweepBitForBit) {
   sim::ExperimentConfig base = sim::experiment1_config();
   const par::SweepGrid grid = storm_grid();
 
@@ -126,7 +124,7 @@ TEST(SweepHotEngine, ReproducesTheReferenceSweepBitForBit) {
   expect_identical_sweeps(ref, got);
 }
 
-TEST(SweepHotEngine, JobCountDoesNotChangeHotResults) {
+TEST(SweepBatchedEngine, JobCountDoesNotChangeStormGridResults) {
   sim::ExperimentConfig base = sim::experiment1_config();
   base.simulation.engine = sim::Engine::Batched;
   const par::SweepGrid grid = storm_grid();
@@ -141,7 +139,7 @@ TEST(SweepHotEngine, JobCountDoesNotChangeHotResults) {
   EXPECT_EQ(one.stats.points_batched, four.stats.points_batched);
 }
 
-TEST(SweepHotEngine, RunPointCompilesLocallyWithoutASharedTrace) {
+TEST(SweepBatchedEngine, RunPointCompilesLocallyWithoutASharedTrace) {
   sim::ExperimentConfig base = sim::experiment1_config();
   base.simulation.engine = sim::Engine::Batched;
   par::SweepPoint point;
@@ -153,7 +151,7 @@ TEST(SweepHotEngine, RunPointCompilesLocallyWithoutASharedTrace) {
   const sim::CompiledTrace compiled(base.trace, base.device);
   const par::SweepPointResult shared =
       par::run_point(base, point, 6, nullptr, 0, &compiled);
-  // ...and the resilience retry path, which passes none.
+  // ...and a direct caller, which passes none.
   const par::SweepPointResult local = par::run_point(base, point, 6);
   EXPECT_TRUE(shared.ran_batched);
   EXPECT_TRUE(local.ran_batched);

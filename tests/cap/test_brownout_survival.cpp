@@ -6,7 +6,7 @@
 
 #include <cstring>
 
-#include "resilience/resilient_sweep.hpp"
+#include "par/sweep.hpp"
 #include "resilience/retry.hpp"
 #include "sim/experiments.hpp"
 
@@ -26,21 +26,21 @@ par::SweepGrid brownout_grid() {
   return grid;
 }
 
-resilience::ResilienceOptions survival_options(std::size_t jobs) {
-  resilience::ResilienceOptions options;
+par::SweepOptions survival_options(std::size_t jobs) {
+  par::SweepOptions options;
   options.contract.unserved_budget_as = 25.0;
   options.jobs = jobs;
   return options;
 }
 
-void expect_identical_points(const resilience::ResilientSweepResult& a,
-                             const resilience::ResilientSweepResult& b) {
+void expect_identical_points(const par::SweepResult& a,
+                             const par::SweepResult& b) {
   ASSERT_EQ(a.points.size(), b.points.size());
   for (std::size_t k = 0; k < a.points.size(); ++k) {
     SCOPED_TRACE(k);
     ASSERT_EQ(a.points[k].ok, b.points[k].ok);
-    const sim::SimulationResult& ra = a.points[k].result.result;
-    const sim::SimulationResult& rb = b.points[k].result.result;
+    const sim::SimulationResult& ra = a.points[k].result;
+    const sim::SimulationResult& rb = b.points[k].result;
     EXPECT_EQ(std::memcmp(&ra.totals, &rb.totals, sizeof ra.totals), 0);
     EXPECT_EQ(ra.sleeps, rb.sleeps);
     EXPECT_EQ(ra.storage_end.value(), rb.storage_end.value());
@@ -65,15 +65,14 @@ TEST(BrownoutSurvival, CapOffQuarantinesCapOnCompletes) {
   const par::SweepGrid grid = brownout_grid();
 
   // Capping off: the storms blow through the unserved budget.
-  const resilience::ResilientSweepResult off =
-      resilience::run_resilient_sweep(base, grid, survival_options(2));
+  const par::SweepResult off = par::run_sweep(base, grid, survival_options(2));
   std::size_t quarantined = 0;
-  for (const resilience::ResilientPoint& p : off.points) {
+  for (const par::SweepPointResult& p : off.points) {
     if (!p.ok) {
       ++quarantined;
       EXPECT_EQ(p.error.kind,
                 resilience::PointErrorKind::power_undeliverable);
-      EXPECT_FALSE(p.result.result.cap.has_value());
+      EXPECT_FALSE(p.result.cap.has_value());
     }
   }
   ASSERT_GE(quarantined, 1u);
@@ -82,16 +81,15 @@ TEST(BrownoutSurvival, CapOffQuarantinesCapOnCompletes) {
 
   // Capping on: the same storms complete -- throttled, never failed.
   base.cap.enabled = true;
-  const resilience::ResilientSweepResult on =
-      resilience::run_resilient_sweep(base, grid, survival_options(2));
+  const par::SweepResult on = par::run_sweep(base, grid, survival_options(2));
   ASSERT_EQ(on.points.size(), grid.points(base).size());
-  for (const resilience::ResilientPoint& p : on.points) {
-    SCOPED_TRACE(p.result.point.storm_seed);
+  for (const par::SweepPointResult& p : on.points) {
+    SCOPED_TRACE(p.point.storm_seed);
     ASSERT_TRUE(p.ok);
-    ASSERT_TRUE(p.result.result.cap.has_value());
-    EXPECT_GT(p.result.result.cap->slots_capped, 0u);
-    EXPECT_EQ(p.result.result.cap->budget_violations, 0u);
-    EXPECT_LE(p.result.result.totals.unserved.value(), 25.0);
+    ASSERT_TRUE(p.result.cap.has_value());
+    EXPECT_GT(p.result.cap->slots_capped, 0u);
+    EXPECT_EQ(p.result.cap->budget_violations, 0u);
+    EXPECT_LE(p.result.totals.unserved.value(), 25.0);
   }
   EXPECT_EQ(on.resilience.quarantined, 0u);
   EXPECT_EQ(on.resilience.capped_ok, on.points.size());
@@ -102,12 +100,10 @@ TEST(BrownoutSurvival, CappedSweepIsBitIdenticalAcrossJobCounts) {
   base.cap.enabled = true;
   const par::SweepGrid grid = brownout_grid();
 
-  const resilience::ResilientSweepResult one =
-      resilience::run_resilient_sweep(base, grid, survival_options(1));
-  const resilience::ResilientSweepResult two =
-      resilience::run_resilient_sweep(base, grid, survival_options(2));
-  const resilience::ResilientSweepResult eight =
-      resilience::run_resilient_sweep(base, grid, survival_options(8));
+  const par::SweepResult one = par::run_sweep(base, grid, survival_options(1));
+  const par::SweepResult two = par::run_sweep(base, grid, survival_options(2));
+  const par::SweepResult eight =
+      par::run_sweep(base, grid, survival_options(8));
   expect_identical_points(one, two);
   expect_identical_points(one, eight);
 }

@@ -153,6 +153,30 @@ TEST(SweepTest, StatsCountPointsAndPublishToObserver) {
   EXPECT_EQ(metrics.gauge("par.sweep.jobs").last(), 2.0);
 }
 
+// A plain sweep runs under the default contract: a point that throws
+// (here, a cap table that cannot be read) fails that point — retried,
+// then quarantined with its typed error — instead of aborting the sweep.
+TEST(SweepTest, ThrowingPointIsQuarantinedUnderTheDefaultContract) {
+  sim::ExperimentConfig base = small_base();
+  base.cap.enabled = true;
+  base.cap.table_csv = ::testing::TempDir() + "fcdpm_no_such_cap_table.csv";
+  SweepGrid grid;
+  grid.policies = {sim::PolicyKind::Conv, sim::PolicyKind::FcDpm};
+  grid.rhos = {0.5};
+
+  SweepOptions options;
+  options.jobs = 2;
+  const SweepResult sweep = run_sweep(base, grid, options);
+
+  ASSERT_EQ(sweep.points.size(), 2u);
+  for (const SweepPointResult& point : sweep.points) {
+    EXPECT_FALSE(point.ok);
+    EXPECT_EQ(point.error.kind, resilience::PointErrorKind::io_error);
+    EXPECT_EQ(point.attempts, 1u + options.contract.max_retries);
+  }
+  EXPECT_EQ(sweep.resilience.quarantined, 2u);
+}
+
 TEST(SweepTelemetryTest, AttachedTelemetryChangesNoResultAtAnyJobCount) {
   const sim::ExperimentConfig base = small_base();
   const SweepGrid grid = table2_grid();

@@ -1,5 +1,3 @@
-#include "resilience/resilient_sweep.hpp"
-
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -11,6 +9,7 @@
 #include "common/csv.hpp"
 #include "obs/context.hpp"
 #include "obs/metrics.hpp"
+#include "par/sweep.hpp"
 #include "par/worker_pool.hpp"
 #include "resilience/journal.hpp"
 #include "sim/experiments.hpp"
@@ -70,10 +69,9 @@ TEST(ResilientSweepTest, MatchesThePlainEngineBitwiseAcrossJobCounts) {
 
   for (const std::size_t jobs : {1u, 4u}) {
     SCOPED_TRACE(testing::Message() << "jobs=" << jobs);
-    ResilienceOptions options;
+    par::SweepOptions options;
     options.jobs = jobs;
-    const ResilientSweepResult sweep =
-        run_resilient_sweep(base, grid, options);
+    const par::SweepResult sweep = par::run_sweep(base, grid, options);
 
     ASSERT_EQ(sweep.points.size(), plain.points.size());
     EXPECT_EQ(sweep.resilience.quarantined, 0u);
@@ -83,7 +81,7 @@ TEST(ResilientSweepTest, MatchesThePlainEngineBitwiseAcrossJobCounts) {
       SCOPED_TRACE(testing::Message() << "point=" << k);
       ASSERT_TRUE(sweep.points[k].ok);
       EXPECT_EQ(sweep.points[k].attempts, 1u);
-      expect_same_result(sweep.points[k].result.result,
+      expect_same_result(sweep.points[k].result,
                          plain.points[k].result);
     }
   }
@@ -101,12 +99,11 @@ TEST(ResilientSweepTest, PoisonedPointIsQuarantinedOthersUntouched) {
   plain_options.jobs = 1;
   const par::SweepResult plain = par::run_sweep(base, grid, plain_options);
 
-  ResilienceOptions options;
+  par::SweepOptions options;
   options.jobs = 4;
   options.contract.max_retries = 3;
   options.contract.inject_fail_index = poisoned;
-  const ResilientSweepResult sweep =
-      run_resilient_sweep(base, grid, options);
+  const par::SweepResult sweep = par::run_sweep(base, grid, options);
 
   EXPECT_EQ(sweep.resilience.quarantined, 1u);
   EXPECT_EQ(sweep.resilience.retries, 3u);
@@ -120,7 +117,7 @@ TEST(ResilientSweepTest, PoisonedPointIsQuarantinedOthersUntouched) {
     }
     SCOPED_TRACE(testing::Message() << "point=" << k);
     ASSERT_TRUE(sweep.points[k].ok);
-    expect_same_result(sweep.points[k].result.result,
+    expect_same_result(sweep.points[k].result,
                        plain.points[k].result);
   }
 }
@@ -132,12 +129,11 @@ TEST(ResilientSweepTest, QuarantineLandsInTheJournalWithItsTypedError) {
   grid.rhos = {0.3, 0.5, 0.7};
   const std::string path = temp_path("quarantine.fcj");
 
-  ResilienceOptions options;
+  par::SweepOptions options;
   options.journal_path = path;
   options.contract.max_retries = 1;
   options.contract.inject_fail_index = 1;
-  const ResilientSweepResult sweep =
-      run_resilient_sweep(base, grid, options);
+  const par::SweepResult sweep = par::run_sweep(base, grid, options);
   EXPECT_EQ(sweep.resilience.quarantined, 1u);
 
   const JournalLoad load = load_journal(path);
@@ -164,11 +160,10 @@ TEST(ResilientSweepTest, TornJournalResumesBitIdenticalToUninterrupted) {
   const par::SweepGrid grid = small_grid();
   const std::string path = temp_path("kill_resume.fcj");
 
-  ResilienceOptions first;
+  par::SweepOptions first;
   first.jobs = 2;
   first.journal_path = path;
-  const ResilientSweepResult uninterrupted =
-      run_resilient_sweep(base, grid, first);
+  const par::SweepResult uninterrupted = par::run_sweep(base, grid, first);
   ASSERT_EQ(uninterrupted.resilience.quarantined, 0u);
 
   // "SIGKILL" partway through: keep the header, 10 full records and a
@@ -180,13 +175,12 @@ TEST(ResilientSweepTest, TornJournalResumesBitIdenticalToUninterrupted) {
   }
   write_file(path, full.substr(0, cut + 17));
 
-  ResilienceOptions second;
+  par::SweepOptions second;
   second.jobs = 2;
   second.journal_path = path;
   second.resume = true;
   second.spot_checks = 1;
-  const ResilientSweepResult resumed =
-      run_resilient_sweep(base, grid, second);
+  const par::SweepResult resumed = par::run_sweep(base, grid, second);
 
   EXPECT_TRUE(resumed.resilience.torn_tail_recovered);
   EXPECT_EQ(resumed.resilience.replayed, 10u);
@@ -201,8 +195,8 @@ TEST(ResilientSweepTest, TornJournalResumesBitIdenticalToUninterrupted) {
     // grid order — which 10 points were committed is scheduling-
     // dependent, but their *results* must replay bit-identically.
     replayed_points += resumed.points[k].replayed ? 1 : 0;
-    expect_same_result(resumed.points[k].result.result,
-                       uninterrupted.points[k].result.result);
+    expect_same_result(resumed.points[k].result,
+                       uninterrupted.points[k].result);
   }
   EXPECT_EQ(replayed_points, 10u);
 
@@ -219,25 +213,23 @@ TEST(ResilientSweepTest, FullJournalResumeReSimulatesNothing) {
   grid.rhos = {0.4, 0.6};
   const std::string path = temp_path("full_resume.fcj");
 
-  ResilienceOptions first;
+  par::SweepOptions first;
   first.journal_path = path;
-  const ResilientSweepResult original =
-      run_resilient_sweep(base, grid, first);
+  const par::SweepResult original = par::run_sweep(base, grid, first);
 
-  ResilienceOptions second;
+  par::SweepOptions second;
   second.journal_path = path;
   second.resume = true;
   second.spot_checks = 0;  // isolate "zero re-simulation"
-  const ResilientSweepResult resumed =
-      run_resilient_sweep(base, grid, second);
+  const par::SweepResult resumed = par::run_sweep(base, grid, second);
 
   EXPECT_EQ(resumed.resilience.scheduled, 0u);
   EXPECT_EQ(resumed.resilience.rounds, 0u);
   EXPECT_EQ(resumed.resilience.replayed, original.points.size());
   for (std::size_t k = 0; k < resumed.points.size(); ++k) {
     ASSERT_TRUE(resumed.points[k].replayed);
-    expect_same_result(resumed.points[k].result.result,
-                       original.points[k].result.result);
+    expect_same_result(resumed.points[k].result,
+                       original.points[k].result);
   }
   std::remove(path.c_str());
 }
@@ -282,23 +274,23 @@ TEST(ResilientSweepTest, ResumesAuditedJournalWithRetiredCacheField) {
   ASSERT_TRUE(load.records[0].result.audit.has_value());
   EXPECT_EQ(load.records[0].result.audit->slots_audited, 7u);
 
-  ResilienceOptions resume;
+  par::SweepOptions resume;
   resume.journal_path = path;
   resume.resume = true;
   resume.spot_checks = 1;  // re-simulates the replayed point bitwise
-  const ResilientSweepResult resumed = run_resilient_sweep(base, grid, resume);
+  const par::SweepResult resumed = par::run_sweep(base, grid, resume);
   EXPECT_EQ(resumed.resilience.replayed, 1u);
   EXPECT_EQ(resumed.resilience.scheduled, 1u);
   EXPECT_EQ(resumed.resilience.spot_checks, 1u);
 
-  const ResilientSweepResult fresh =
-      run_resilient_sweep(base, grid, ResilienceOptions{});
+  const par::SweepResult fresh =
+      par::run_sweep(base, grid, par::SweepOptions{});
   ASSERT_EQ(resumed.points.size(), fresh.points.size());
   for (std::size_t k = 0; k < fresh.points.size(); ++k) {
     SCOPED_TRACE(testing::Message() << "point=" << k);
     ASSERT_TRUE(resumed.points[k].ok);
-    expect_same_result(resumed.points[k].result.result,
-                       fresh.points[k].result.result);
+    expect_same_result(resumed.points[k].result,
+                       fresh.points[k].result);
   }
   // New records are written without the retired field.
   const std::string healed = read_file(path);
@@ -314,16 +306,16 @@ TEST(ResilientSweepTest, ResumeRejectsAForeignGridFingerprint) {
   grid.rhos = {0.4, 0.6};
   const std::string path = temp_path("foreign.fcj");
 
-  ResilienceOptions first;
+  par::SweepOptions first;
   first.journal_path = path;
-  (void)run_resilient_sweep(base, grid, first);
+  (void)par::run_sweep(base, grid, first);
 
   par::SweepGrid other = grid;
   other.rhos.push_back(0.8);
-  ResilienceOptions second;
+  par::SweepOptions second;
   second.journal_path = path;
   second.resume = true;
-  EXPECT_THROW((void)run_resilient_sweep(base, other, second), CsvError);
+  EXPECT_THROW((void)par::run_sweep(base, other, second), CsvError);
   std::remove(path.c_str());
 }
 
@@ -353,18 +345,17 @@ TEST(ResilientSweepTest, SpotCheckCatchesATamperedJournal) {
     journal.append(record);
   }
 
-  ResilienceOptions options;
+  par::SweepOptions options;
   options.journal_path = path;
   options.resume = true;
   options.spot_checks = 1;
-  EXPECT_THROW((void)run_resilient_sweep(base, grid, options), CsvError);
+  EXPECT_THROW((void)par::run_sweep(base, grid, options), CsvError);
 
   // With spot-checks disabled the forged journal replays unchallenged —
   // the check is exactly what stands between the two behaviours.
   options.spot_checks = 0;
-  const ResilientSweepResult blind =
-      run_resilient_sweep(base, grid, options);
-  EXPECT_EQ(blind.points[0].result.result.totals.fuel.value(),
+  const par::SweepResult blind = par::run_sweep(base, grid, options);
+  EXPECT_EQ(blind.points[0].result.totals.fuel.value(),
             honest.result.totals.fuel.value() + 1.0);
   std::remove(path.c_str());
 }
@@ -377,12 +368,11 @@ TEST(ResilientSweepTest, PublishesResilienceMetrics) {
 
   obs::MetricsRegistry metrics;
   obs::Context obs(nullptr, &metrics, nullptr);
-  ResilienceOptions options;
+  par::SweepOptions options;
   options.observer = &obs;
   options.contract.max_retries = 2;
   options.contract.inject_fail_index = 0;
-  const ResilientSweepResult sweep =
-      run_resilient_sweep(base, grid, options);
+  const par::SweepResult sweep = par::run_sweep(base, grid, options);
 
   EXPECT_EQ(metrics.gauge("resilience.scheduled").last(), 3.0);
   EXPECT_EQ(metrics.gauge("resilience.retries").last(), 2.0);
@@ -397,14 +387,13 @@ TEST(ResilientSweepTest, DeadlineContractQuarantinesEveryPointTyped) {
   const sim::ExperimentConfig base = small_base();
   par::SweepGrid grid;
   grid.policies = {sim::PolicyKind::Conv, sim::PolicyKind::FcDpm};
-  ResilienceOptions options;
+  par::SweepOptions options;
   options.contract.max_retries = 1;
   options.contract.point_deadline_slots = 2;
-  const ResilientSweepResult sweep =
-      run_resilient_sweep(base, grid, options);
+  const par::SweepResult sweep = par::run_sweep(base, grid, options);
   ASSERT_EQ(sweep.points.size(), 2u);
   EXPECT_EQ(sweep.resilience.quarantined, 2u);
-  for (const ResilientPoint& point : sweep.points) {
+  for (const par::SweepPointResult& point : sweep.points) {
     ASSERT_FALSE(point.ok);
     EXPECT_EQ(point.error.kind, PointErrorKind::deadline_exceeded);
     EXPECT_EQ(point.attempts, 2u);
@@ -418,22 +407,20 @@ TEST(ResilientSweepTest, WatchdogEnabledSweepStaysBitIdentical) {
   par::SweepGrid grid;
   grid.rhos = {0.3, 0.7};
 
-  ResilienceOptions plain;
-  const ResilientSweepResult reference =
-      run_resilient_sweep(base, grid, plain);
+  par::SweepOptions plain;
+  const par::SweepResult reference = par::run_sweep(base, grid, plain);
 
-  ResilienceOptions watched;
+  par::SweepOptions watched;
   watched.jobs = 2;
   watched.watchdog_stall = std::chrono::milliseconds(2000);
-  const ResilientSweepResult sweep =
-      run_resilient_sweep(base, grid, watched);
+  const par::SweepResult sweep = par::run_sweep(base, grid, watched);
 
   EXPECT_EQ(sweep.resilience.watchdog_stalls, 0u);
   ASSERT_EQ(sweep.points.size(), reference.points.size());
   for (std::size_t k = 0; k < sweep.points.size(); ++k) {
     ASSERT_TRUE(sweep.points[k].ok);
-    expect_same_result(sweep.points[k].result.result,
-                       reference.points[k].result.result);
+    expect_same_result(sweep.points[k].result,
+                       reference.points[k].result);
   }
 }
 
@@ -449,13 +436,12 @@ TEST(ResilientSweepTest, TelemetryCountsRetriesAndQuarantines) {
   tconfig.record_lanes = true;
   telemetry::SweepTelemetry tel(tconfig);
 
-  ResilienceOptions options;
+  par::SweepOptions options;
   options.jobs = 2;
   options.contract.max_retries = 2;
   options.contract.inject_fail_index = 0;
   options.telemetry = &tel;
-  const ResilientSweepResult sweep =
-      run_resilient_sweep(base, grid, options);
+  const par::SweepResult sweep = par::run_sweep(base, grid, options);
 
   const telemetry::SweepSnapshot snap = tel.snapshot();
   // Point 0: 3 attempts — two retried, the final one quarantined. The
@@ -490,25 +476,236 @@ TEST(ResilientSweepTest, TelemetryAttachedRunStaysBitIdentical) {
   par::SweepGrid grid;
   grid.rhos = {0.3, 0.7};
 
-  const ResilientSweepResult reference =
-      run_resilient_sweep(base, grid, ResilienceOptions{});
+  const par::SweepResult reference =
+      par::run_sweep(base, grid, par::SweepOptions{});
 
   telemetry::TelemetryConfig tconfig;
   tconfig.workers = par::WorkerPool::resolve(2);
   tconfig.total_points = reference.points.size();
   telemetry::SweepTelemetry tel(tconfig);
-  ResilienceOptions observed;
+  par::SweepOptions observed;
   observed.jobs = 2;
   observed.telemetry = &tel;
-  const ResilientSweepResult sweep =
-      run_resilient_sweep(base, grid, observed);
+  const par::SweepResult sweep = par::run_sweep(base, grid, observed);
 
   ASSERT_EQ(sweep.points.size(), reference.points.size());
   for (std::size_t k = 0; k < sweep.points.size(); ++k) {
-    expect_same_result(sweep.points[k].result.result,
-                       reference.points[k].result.result);
+    expect_same_result(sweep.points[k].result,
+                       reference.points[k].result);
   }
   EXPECT_EQ(tel.snapshot().done, reference.points.size());
+}
+
+
+// Resume splices a record only into the grid point it names — every
+// point field counts, the stack axis included. Point 0's honest record
+// passes the one spot check; a record at index 1 carrying point 0's
+// (1-stack) point and result must be rejected, not reported as the
+// 2-stack point's fuel.
+TEST(ResilientSweepTest, ResumeRejectsARecordFromAnotherStackAxisPoint) {
+  const sim::ExperimentConfig base = small_base();
+  par::SweepGrid grid;
+  grid.policies = {sim::PolicyKind::FcDpm};
+  grid.rhos = {0.5};
+  grid.stack_counts = {1, 2};
+  const std::vector<par::SweepPoint> points = grid.points(base);
+  ASSERT_EQ(points.size(), 2u);
+  ASSERT_NE(points[0].stacks, points[1].stacks);
+  const std::string path = temp_path("stack_axis.fcj");
+
+  const par::SweepPointResult one_stack =
+      par::run_point(base, points[0], grid.storm_faults);
+  JournalRecord honest;
+  honest.index = 0;
+  honest.point = points[0];
+  honest.result = one_stack.result;
+  JournalRecord misplaced = honest;
+  misplaced.index = 1;
+  {
+    Journal journal = Journal::create(
+        path, {base.trace.name(), points.size(),
+               grid_fingerprint(base, points, grid.storm_faults)});
+    journal.append(honest);
+    journal.append(misplaced);
+  }
+
+  par::SweepOptions options;
+  options.journal_path = path;
+  options.resume = true;
+  EXPECT_THROW((void)par::run_sweep(base, grid, options), CsvError);
+  std::remove(path.c_str());
+}
+
+// The batched journaled path: the grid packs into two 8-lane chunks
+// (one per rho), so a journal written at --jobs 1 holds two task
+// groups of 8 records each, in task order.
+sim::ExperimentConfig batched_base() {
+  sim::ExperimentConfig config = small_base();
+  config.initial_storage = Coulomb(1.0);  // sub-capacity: lanes merge
+  config.simulation.engine = sim::Engine::Batched;
+  return config;
+}
+
+par::SweepGrid chunked_grid() {
+  par::SweepGrid grid;
+  grid.policies = {sim::PolicyKind::Conv, sim::PolicyKind::FcDpm};
+  grid.rhos = {0.3, 0.7};
+  grid.capacities = {Coulomb(1.5), Coulomb(3.0), Coulomb(6.0),
+                     Coulomb(24.0)};
+  return grid;  // 2 x 2 x 4 = 16 points
+}
+
+/// Byte offsets just past each line of `bytes` (the header first).
+std::vector<std::size_t> line_ends(const std::string& bytes) {
+  std::vector<std::size_t> ends;
+  for (std::size_t k = 0; k < bytes.size(); ++k) {
+    if (bytes[k] == '\n') {
+      ends.push_back(k + 1);
+    }
+  }
+  return ends;
+}
+
+TEST(ResilientSweepTest, JournaledBatchedSweepRunsEveryPointBatched) {
+  const sim::ExperimentConfig base = batched_base();
+  const par::SweepGrid grid = chunked_grid();
+  const std::string path = temp_path("batched.fcj");
+
+  par::SweepOptions plain;
+  plain.jobs = 2;
+  const par::SweepResult reference = par::run_sweep(base, grid, plain);
+
+  par::SweepOptions journaled = plain;
+  journaled.journal_path = path;
+  const par::SweepResult sweep = par::run_sweep(base, grid, journaled);
+
+  EXPECT_EQ(sweep.stats.points_batched, sweep.stats.points);
+  EXPECT_EQ(sweep.stats.batch_merge_sets, reference.stats.batch_merge_sets);
+  ASSERT_EQ(sweep.points.size(), reference.points.size());
+  for (std::size_t k = 0; k < sweep.points.size(); ++k) {
+    SCOPED_TRACE(testing::Message() << "point=" << k);
+    ASSERT_TRUE(sweep.points[k].ok);
+    EXPECT_TRUE(sweep.points[k].ran_batched);
+    expect_same_result(sweep.points[k].result, reference.points[k].result);
+  }
+  EXPECT_EQ(load_journal(path).records.size(), sweep.points.size());
+  std::remove(path.c_str());
+}
+
+// An injected failure inside a chunk fails that lane alone: it retries
+// as a single until quarantined after exactly 1 + max_retries attempts,
+// while its chunk-mates complete on the batch loop first time.
+TEST(ResilientSweepTest, InjectedFailureInsideAChunkLeavesChunkMatesBatched) {
+  const sim::ExperimentConfig base = batched_base();
+  const par::SweepGrid grid = chunked_grid();
+  const std::size_t poisoned = 5;  // rho 0.3, inside the first chunk
+  const par::SweepResult reference = par::run_sweep(base, grid);
+
+  for (const std::size_t jobs : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "jobs=" << jobs);
+    par::SweepOptions options;
+    options.jobs = jobs;
+    options.contract.max_retries = 3;
+    options.contract.inject_fail_index = poisoned;
+    const par::SweepResult sweep = par::run_sweep(base, grid, options);
+
+    ASSERT_FALSE(sweep.points[poisoned].ok);
+    EXPECT_EQ(sweep.points[poisoned].attempts, 1u + 3u);
+    EXPECT_EQ(sweep.points[poisoned].error.kind,
+              PointErrorKind::solver_diverged);
+    EXPECT_EQ(sweep.resilience.retries, 3u);
+    EXPECT_EQ(sweep.resilience.quarantined, 1u);
+    EXPECT_EQ(sweep.stats.points_batched, sweep.points.size() - 1);
+    for (std::size_t k = 0; k < sweep.points.size(); ++k) {
+      if (k == poisoned) {
+        continue;
+      }
+      SCOPED_TRACE(testing::Message() << "point=" << k);
+      ASSERT_TRUE(sweep.points[k].ok);
+      EXPECT_TRUE(sweep.points[k].ran_batched);
+      EXPECT_EQ(sweep.points[k].attempts, 1u);
+      expect_same_result(sweep.points[k].result, reference.points[k].result);
+    }
+  }
+}
+
+// Group commit: a crash mid-write tears the final task's group. Cut at
+// every byte offset inside that group, the loader keeps every record
+// that fully landed — the earlier groups and the group's leading
+// records — and reports the rest as a torn tail.
+TEST(ResilientSweepTest, BatchedJournalTornAtEveryByteOfItsFinalGroupRecovers) {
+  const sim::ExperimentConfig base = batched_base();
+  const par::SweepGrid grid = chunked_grid();
+  const std::string path = temp_path("batched_torn.fcj");
+  par::SweepOptions options;
+  options.journal_path = path;
+  const par::SweepResult sweep = par::run_sweep(base, grid, options);
+  ASSERT_EQ(sweep.stats.points_batched, 16u);
+
+  const std::string full = read_file(path);
+  const std::vector<std::size_t> ends = line_ends(full);
+  ASSERT_EQ(ends.size(), 1u + 16u);  // header + two groups of 8
+  const std::size_t group_start = ends[1 + 8 - 1];
+  const std::string cut_path = path + ".cut";
+
+  std::size_t complete = 8;  // records of the first group
+  for (std::size_t cut = group_start; cut <= full.size(); ++cut) {
+    if (complete < 16 && cut >= ends[1 + complete]) {
+      ++complete;
+    }
+    const std::size_t boundary = ends[complete];
+    write_file(cut_path, full.substr(0, cut));
+    const JournalLoad load = load_journal(cut_path);
+    ASSERT_EQ(load.records.size(), complete) << "cut=" << cut;
+    ASSERT_EQ(load.valid_bytes, boundary) << "cut=" << cut;
+    ASSERT_EQ(load.torn_tail, cut != boundary) << "cut=" << cut;
+    ASSERT_EQ(load.dropped_bytes, cut - boundary) << "cut=" << cut;
+  }
+  std::remove(path.c_str());
+  std::remove(cut_path.c_str());
+}
+
+// Kill-and-resume on the batched path: cut the journal inside its final
+// group, resume, and the merged sweep is bit-identical to the
+// uninterrupted one — the remainder re-runs batched.
+TEST(ResilientSweepTest, TornBatchedJournalResumesBitIdenticalToUninterrupted) {
+  const sim::ExperimentConfig base = batched_base();
+  const par::SweepGrid grid = chunked_grid();
+  const std::string path = temp_path("batched_resume.fcj");
+
+  par::SweepOptions first;
+  first.journal_path = path;
+  const par::SweepResult uninterrupted = par::run_sweep(base, grid, first);
+
+  // Header, the first group, three records of the final group and a
+  // torn fourth.
+  const std::string full = read_file(path);
+  const std::vector<std::size_t> ends = line_ends(full);
+  ASSERT_EQ(ends.size(), 1u + 16u);
+  write_file(path, full.substr(0, ends[1 + 8 + 3 - 1] + 17));
+
+  par::SweepOptions second;
+  second.jobs = 2;
+  second.journal_path = path;
+  second.resume = true;
+  const par::SweepResult resumed = par::run_sweep(base, grid, second);
+
+  EXPECT_TRUE(resumed.resilience.torn_tail_recovered);
+  EXPECT_EQ(resumed.resilience.replayed, 11u);
+  EXPECT_EQ(resumed.resilience.scheduled, 5u);
+  EXPECT_EQ(resumed.resilience.spot_checks, 1u);
+  EXPECT_EQ(resumed.stats.points_batched, 5u);
+  ASSERT_EQ(resumed.points.size(), uninterrupted.points.size());
+  for (std::size_t k = 0; k < resumed.points.size(); ++k) {
+    SCOPED_TRACE(testing::Message() << "point=" << k);
+    ASSERT_TRUE(resumed.points[k].ok);
+    expect_same_result(resumed.points[k].result,
+                       uninterrupted.points[k].result);
+  }
+  const JournalLoad healed = load_journal(path);
+  EXPECT_FALSE(healed.torn_tail);
+  EXPECT_EQ(healed.records.size(), resumed.points.size());
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -87,32 +87,32 @@ TEST(SolveFailureKindTest, ClassifiesTheSolveStatusTaxonomy) {
 TEST(ExecutePointTest, CleanPointMatchesPlainRunPointBitwise) {
   const sim::ExperimentConfig base = small_base();
   const par::SweepPoint point = fcdpm_point(base);
-  const PointOutcome outcome =
-      execute_point(base, point, 0, 12, ExecutionContract{},
+  const par::SweepPointResult outcome =
+      par::execute_point(base, point, 0, 12, ExecutionContract{},
                     nullptr);
   ASSERT_TRUE(outcome.ok);
 
   const par::SweepPointResult direct =
       par::run_point(base, point, 12);
-  EXPECT_EQ(outcome.result.result.totals.fuel.value(),
+  EXPECT_EQ(outcome.result.totals.fuel.value(),
             direct.result.totals.fuel.value());
-  EXPECT_EQ(outcome.result.result.storage_end.value(),
+  EXPECT_EQ(outcome.result.storage_end.value(),
             direct.result.storage_end.value());
-  EXPECT_EQ(outcome.result.result.sleeps, direct.result.sleeps);
+  EXPECT_EQ(outcome.result.sleeps, direct.result.sleeps);
 }
 
 TEST(ExecutePointTest, InjectedFailureMapsToSolverDivergedWithoutThrow) {
   const sim::ExperimentConfig base = small_base();
   ExecutionContract contract;
   contract.inject_fail_index = 3;
-  const PointOutcome outcome = execute_point(
+  const par::SweepPointResult outcome = par::execute_point(
       base, fcdpm_point(base), 3, 12, contract, nullptr);
   EXPECT_FALSE(outcome.ok);
   EXPECT_EQ(outcome.error.kind, PointErrorKind::solver_diverged);
   EXPECT_FALSE(outcome.error.detail.empty());
 
   // Another index under the same contract is unaffected.
-  const PointOutcome clean = execute_point(
+  const par::SweepPointResult clean = par::execute_point(
       base, fcdpm_point(base), 4, 12, contract, nullptr);
   EXPECT_TRUE(clean.ok);
 }
@@ -121,7 +121,7 @@ TEST(ExecutePointTest, SlotBudgetDeadlineMapsToDeadlineExceeded) {
   const sim::ExperimentConfig base = small_base();
   ExecutionContract contract;
   contract.point_deadline_slots = 2;  // trace has more slots than this
-  const PointOutcome outcome = execute_point(
+  const par::SweepPointResult outcome = par::execute_point(
       base, fcdpm_point(base), 0, 12, contract, nullptr);
   EXPECT_FALSE(outcome.ok);
   EXPECT_EQ(outcome.error.kind, PointErrorKind::deadline_exceeded);
@@ -132,7 +132,7 @@ TEST(ExecutePointTest, PreCancelledTokenFailsTheAttemptOnly) {
   const sim::ExperimentConfig base = small_base();
   sim::CancellationToken token;
   token.cancel();
-  const PointOutcome outcome = execute_point(
+  const par::SweepPointResult outcome = par::execute_point(
       base, fcdpm_point(base), 0, 12, ExecutionContract{},
       &token);
   EXPECT_FALSE(outcome.ok);
@@ -140,7 +140,7 @@ TEST(ExecutePointTest, PreCancelledTokenFailsTheAttemptOnly) {
 
   // After reset the same token lets the point run to completion.
   token.reset();
-  const PointOutcome retried = execute_point(
+  const par::SweepPointResult retried = par::execute_point(
       base, fcdpm_point(base), 0, 12, ExecutionContract{},
       &token);
   EXPECT_TRUE(retried.ok);
@@ -157,19 +157,19 @@ TEST(ExecutePointTest, UnservedBudgetQuarantinesABrownedOutPoint) {
   ExecutionContract contract;
   contract.unserved_budget_as = 25.0;
 
-  const PointOutcome uncapped =
-      execute_point(base, stormy, 0, 14, contract, nullptr);
+  const par::SweepPointResult uncapped =
+      par::execute_point(base, stormy, 0, 14, contract, nullptr);
   ASSERT_FALSE(uncapped.ok);
   EXPECT_EQ(uncapped.error.kind, PointErrorKind::power_undeliverable);
   EXPECT_NE(uncapped.error.detail.find("unserved"), std::string::npos);
 
   base.cap.enabled = true;
-  const PointOutcome capped =
-      execute_point(base, stormy, 0, 14, contract, nullptr);
+  const par::SweepPointResult capped =
+      par::execute_point(base, stormy, 0, 14, contract, nullptr);
   ASSERT_TRUE(capped.ok);
-  ASSERT_TRUE(capped.result.result.cap.has_value());
-  EXPECT_GT(capped.result.result.cap->slots_capped, 0u);
-  EXPECT_EQ(capped.result.result.cap->budget_violations, 0u);
+  ASSERT_TRUE(capped.result.cap.has_value());
+  EXPECT_GT(capped.result.cap->slots_capped, 0u);
+  EXPECT_EQ(capped.result.cap->budget_violations, 0u);
 }
 
 TEST(ExecutePointTest, SolverFailureBudgetZeroQuarantinesAStormPoint) {
@@ -180,15 +180,15 @@ TEST(ExecutePointTest, SolverFailureBudgetZeroQuarantinesAStormPoint) {
                                base.storage_capacity, 1234};
   ExecutionContract strict;
   strict.solver_failure_budget = 0;
-  const PointOutcome outcome =
-      execute_point(base, stormy, 0, 64, strict, nullptr);
+  const par::SweepPointResult outcome =
+      par::execute_point(base, stormy, 0, 64, strict, nullptr);
   if (!outcome.ok) {
     EXPECT_EQ(outcome.error.kind, PointErrorKind::solver_diverged);
     EXPECT_NE(outcome.error.detail.find("budget"), std::string::npos);
   } else {
     // The storm may legitimately produce zero solver failures; the
     // default (unlimited) contract must then agree.
-    const PointOutcome lax = execute_point(
+    const par::SweepPointResult lax = par::execute_point(
         base, stormy, 0, 64, ExecutionContract{}, nullptr);
     EXPECT_TRUE(lax.ok);
   }
