@@ -34,6 +34,7 @@
 // 0. Without one, a quarantined point is reported the same way and the
 // sweep exits 2.
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -144,6 +145,23 @@ double checked_number_or(const Options& options, const std::string& key,
   return value;
 }
 
+/// Strict non-negative integer: decimal digits only (no sign, no
+/// blanks) and in range, else an error naming `flag` and `what`.
+std::uint64_t parse_unsigned(const std::string& flag, const std::string& what,
+                             const std::string& text) {
+  const bool digits =
+      !text.empty() && std::all_of(text.begin(), text.end(), [](char c) {
+        return c >= '0' && c <= '9';
+      });
+  errno = 0;
+  const unsigned long long value =
+      digits ? std::strtoull(text.c_str(), nullptr, 10) : 0;
+  if (!digits || errno == ERANGE) {
+    throw std::runtime_error(flag + ": invalid " + what + " '" + text + "'");
+  }
+  return static_cast<std::uint64_t>(value);
+}
+
 /// Strict non-negative integer option (counts, slot indices).
 std::size_t checked_index_or(const Options& options, const std::string& key,
                              std::size_t fallback) {
@@ -151,15 +169,8 @@ std::size_t checked_index_or(const Options& options, const std::string& key,
   if (it == options.end()) {
     return fallback;
   }
-  char* end = nullptr;
-  const unsigned long long value =
-      std::strtoull(it->second.c_str(), &end, 10);
-  if (it->second.empty() || it->second[0] == '-' ||
-      end != it->second.c_str() + it->second.size()) {
-    throw std::runtime_error("--" + key + ": invalid count '" +
-                             it->second + "'");
-  }
-  return static_cast<std::size_t>(value);
+  return static_cast<std::size_t>(
+      parse_unsigned("--" + key, "count", it->second));
 }
 
 wl::Trace load_workload(const Options& options) {
@@ -598,13 +609,13 @@ std::unique_ptr<fault::FaultInjector> make_fault_injector(
   if (value.rfind("storm:", 0) == 0) {
     const std::string rest = value.substr(6);
     const std::size_t colon = rest.find(':');
-    const auto seed = static_cast<std::uint64_t>(
-        std::strtoull(rest.substr(0, colon).c_str(), nullptr, 10));
+    const std::uint64_t seed =
+        parse_unsigned("--faults", "storm seed", rest.substr(0, colon));
     const std::size_t count =
         colon == std::string::npos
             ? 12
-            : static_cast<std::size_t>(
-                  std::atoi(rest.substr(colon + 1).c_str()));
+            : static_cast<std::size_t>(parse_unsigned(
+                  "--faults", "storm count", rest.substr(colon + 1)));
     schedule = fault::FaultSchedule::random_storm(
         seed, count, trace.stats().total_duration());
     std::printf("fault storm (seed %llu): %s\n",
@@ -1119,8 +1130,8 @@ par::SweepGrid parse_sweep_grid(const Options& options) {
     grid.capacities.push_back(Coulomb(value));
   }
   grid.storm_seeds = parse_seed_list(options, "storm-seeds");
-  grid.storm_faults = static_cast<std::size_t>(number_or(
-      options, "storm-faults", static_cast<double>(grid.storm_faults)));
+  grid.storm_faults =
+      checked_index_or(options, "storm-faults", grid.storm_faults);
   for (const double value : parse_number_list(options, "stacks")) {
     if (value < 0.0 || value != static_cast<double>(
                                    static_cast<std::size_t>(value))) {

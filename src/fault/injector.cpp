@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 namespace fcdpm::fault {
 
@@ -13,7 +15,8 @@ FaultInjector::FaultInjector(FaultSchedule schedule)
 void FaultInjector::reset() {
   active_ = ActiveFaults{};
   stats_ = RobustnessStats{};
-  entered_.assign(schedule_.size(), false);
+  entered_ = 0;
+  next_change_ = Seconds(0.0);  // the t = 0 call below folds the set
   pending_brownout_ = 0.0;
   last_time_ = Seconds(0.0);
   was_active_ = false;
@@ -38,27 +41,47 @@ const ActiveFaults& FaultInjector::advance_to(Seconds now) {
     stats_.degraded_time += now - last_time_;
   }
 
-  ActiveFaults combined;
+  // No boundary crossed: no window was entered or left, so the active
+  // set, and with it the episode state, still stands.
+  if (now < next_change_) {
+    last_time_ = now;
+    return active_;
+  }
+
+  // Enter every event whose start was crossed. Starts are ordered, so
+  // the entered events stay a prefix of the schedule.
   const std::vector<FaultEvent>& events = schedule_.events();
-  for (std::size_t k = 0; k < events.size(); ++k) {
-    const FaultEvent& event = events[k];
-    if (now >= event.start && !entered_[k]) {
-      entered_[k] = true;
-      if (event.kind == FaultKind::Brownout) {
-        // Arm the one-shot: compound lost fractions (losing 50 % twice
-        // leaves 25 %, not 0 %).
-        pending_brownout_ =
-            1.0 - (1.0 - pending_brownout_) * (1.0 - event.magnitude);
-        ++stats_.brownouts;
-      } else {
-        ++stats_.activations;
-        if (event.kind == FaultKind::ConverterDropout) {
-          ++stats_.dropouts;
-        }
+  for (; entered_ < events.size() && now >= events[entered_].start;
+       ++entered_) {
+    const FaultEvent& event = events[entered_];
+    if (event.kind == FaultKind::Brownout) {
+      // Arm the one-shot: compound lost fractions (losing 50 % twice
+      // leaves 25 %, not 0 %).
+      pending_brownout_ =
+          1.0 - (1.0 - pending_brownout_) * (1.0 - event.magnitude);
+      ++stats_.brownouts;
+    } else {
+      ++stats_.activations;
+      if (event.kind == FaultKind::ConverterDropout) {
+        ++stats_.dropouts;
       }
     }
+  }
+
+  // Re-fold the active set in schedule order (the combination order
+  // fixes the rounding) and find the next boundary: the next start, or
+  // the earliest end of an active window.
+  next_change_ = entered_ < events.size()
+                     ? events[entered_].start
+                     : Seconds(std::numeric_limits<double>::infinity());
+  ActiveFaults combined;
+  for (std::size_t k = 0; k < entered_; ++k) {
+    const FaultEvent& event = events[k];
     if (!event.active_at(now)) {
       continue;
+    }
+    if (event.duration.value() > 0.0) {
+      next_change_ = std::min(next_change_, event.start + event.duration);
     }
     switch (event.kind) {
       case FaultKind::StackDegradation:

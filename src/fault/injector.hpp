@@ -12,10 +12,18 @@
 // hybrid source's accumulated segment clock); it samples each event's
 // activity window at segment boundaries, which matches the simulators'
 // piecewise-constant segment model.
+//
+// Cost model: the schedule is ordered by start and the clock never runs
+// backwards, so the entered events are always a prefix of the schedule
+// and the active set can only change at the next event boundary (the
+// next start, or the earliest end of an active window). Between
+// boundaries advance_to is O(1) — it accrues degraded time and returns
+// the cached set; a call that crosses a boundary re-folds the entered
+// prefix, O(events).
 #pragma once
 
+#include <cstddef>
 #include <random>
-#include <vector>
 
 #include "fault/fault.hpp"
 #include "fault/schedule.hpp"
@@ -32,9 +40,10 @@ class FaultInjector {
   void reset();
 
   /// Move the fault clock to `now` (clamped to be non-decreasing) and
-  /// recompute the combined active set. Counts newly entered windows,
-  /// arms brownouts whose start was crossed, and accrues degraded time
-  /// for the elapsed interval when it began with faults active.
+  /// accrue degraded time for the elapsed interval when it began with
+  /// faults active. When `now` reaches the next event boundary, also
+  /// counts newly entered windows, arms brownouts whose start was
+  /// crossed and recomputes the combined active set.
   const ActiveFaults& advance_to(Seconds now);
 
   [[nodiscard]] const ActiveFaults& active() const noexcept {
@@ -70,7 +79,11 @@ class FaultInjector {
   FaultSchedule schedule_;
   ActiveFaults active_;
   RobustnessStats stats_;
-  std::vector<bool> entered_;     ///< per event: window-entry counted
+  /// Events [0, entered_) have had their window entry counted.
+  std::size_t entered_ = 0;
+  /// Earliest time the active set can change: the next unentered start
+  /// or the earliest end of an active window (+inf when neither).
+  Seconds next_change_{0.0};
   double pending_brownout_ = 0.0; ///< combined lost fraction to consume
   Seconds last_time_{0.0};
   bool was_active_ = false;

@@ -127,9 +127,8 @@ TEST(AuditedSimulation, StrictSweepBitIdenticalAcrossEnginesAndJobs) {
   }
 }
 
-// The test name predates the batched engine's B = 1 path; the tampered
-// lane is a one-lane batch.
-TEST(AuditedSimulation, TamperedHotLaneSelfHealsExactlyOnce) {
+// The tampered lane is a one-lane (B = 1) batch.
+TEST(AuditedSimulation, TamperedBatchedLaneSelfHealsExactlyOnce) {
   sim::ExperimentConfig batched = small_config(Mode::Strict);
   batched.simulation.engine = sim::Engine::Batched;
   batched.audit.tamper_slot = 12;  // the 400 s truncation runs 25 slots

@@ -226,7 +226,7 @@ TEST(Auditor, TamperHookCorruptsOnlyTheObservedIntegral) {
   EXPECT_EQ(auditor.stats().first_violation_slot, 3u);
 }
 
-TEST(Auditor, RecordEngineFallbackCarriesHotCountersOver) {
+TEST(Auditor, RecordEngineFallbackCarriesBatchedCountersOver) {
   AuditStats failed;
   failed.violations = 2;
   failed.fuel_violations = 1;

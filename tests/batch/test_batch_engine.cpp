@@ -339,9 +339,8 @@ TEST(BatchEngine, EightConcurrentBatchesShareOneCompiledTrace) {
   }
 }
 
-// The suite-local name predates the batched engine's B = 1 path: the
-// oracle here is the reference loop alone.
-TEST(BatchEngine, SimulateMatchesHotAndReferenceForASingleRun) {
+// batch::simulate as a B = 1 batch against the reference loop.
+TEST(BatchEngine, SimulateMatchesReferenceForASingleRun) {
   const sim::ExperimentConfig base = base_config();
   const sim::CompiledTrace compiled(base.trace, base.device);
   for (const sim::PolicyKind kind :
@@ -396,9 +395,8 @@ TEST(BatchEngine, LifetimeMeasurementIsBitIdentical) {
 
 // Eligibility is a strict subset of what the reference loop accepts:
 // even a profiler-only observer evicts (the batch loop has no per-phase
-// profile scopes), as does profile recording. The suite-local name
-// predates the batched engine's B = 1 path.
-TEST(BatchEngine, LaneEligibilityIsStricterThanHot) {
+// profile scopes), as does profile recording.
+TEST(BatchEngine, LaneEligibilityIsStricterThanReference) {
   const sim::ExperimentConfig base = base_config();
   power::HybridPowerSource hybrid = sim::make_hybrid(base);
   const sim::SimulationOptions plain = base.simulation;

@@ -107,9 +107,7 @@ TEST(StacksSimulation, EnginesAndJobCountsAgreeWithStacksOn) {
   expect_identical_sweeps(ref, parallel);
 }
 
-// The test name predates the batched engine's B = 1 path; the check is
-// batch-lane eligibility.
-TEST(StacksSimulation, MultiStackRunsFailHotLaneEligibility) {
+TEST(StacksSimulation, MultiStackRunsFailBatchLaneEligibility) {
   sim::ExperimentConfig config = sim::experiment1_config();
   config.stacks.enabled = true;
   config.stacks.count = 2;
