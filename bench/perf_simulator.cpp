@@ -3,9 +3,10 @@
 // on the same runs, and the dt-stepped simulator for comparison. Bounds
 // how large a trace the harness can sweep.
 //
-// The binary is also the allocation regression gate for the batched
-// engine: main() proves the steady-state slot loop of batch::simulate
-// is free of heap traffic (exit 1 on regression, see below).
+// The binary is also the allocation regression gate for both slot
+// loops: main() proves the steady-state loops of batch::simulate and
+// sim::simulate are free of heap traffic (exit 1 on regression, see
+// below).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -170,9 +171,11 @@ void BM_TraceCompilation(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceCompilation);
 
-/// Allocations performed by one batch::simulate run over `ct` (policies
-/// and hybrid are built outside the counted window).
-std::size_t allocations_per_run(const sim::CompiledTrace& ct) {
+/// Allocations performed by one FC-DPM run over `ct` on the batched
+/// engine or, with `reference`, on sim::simulate (policies and hybrid
+/// are built outside the counted window).
+std::size_t allocations_per_run(const sim::CompiledTrace& ct,
+                                bool reference) {
   const sim::ExperimentConfig& config = config1();
   dpm::PredictiveDpmPolicy dpm_policy = sim::make_dpm_policy(config);
   const std::unique_ptr<core::FcOutputPolicy> fc =
@@ -181,7 +184,9 @@ std::size_t allocations_per_run(const sim::CompiledTrace& ct) {
   const sim::SimulationOptions options = config.simulation;
   const std::size_t before = g_allocations.load(std::memory_order_relaxed);
   const sim::SimulationResult r =
-      batch::simulate(ct, dpm_policy, *fc, hybrid, options);
+      reference
+          ? sim::simulate(ct.trace(), dpm_policy, *fc, hybrid, options)
+          : batch::simulate(ct, dpm_policy, *fc, hybrid, options);
   benchmark::DoNotOptimize(r.totals.fuel);
   return g_allocations.load(std::memory_order_relaxed) - before;
 }
@@ -196,10 +201,10 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
 
-  // Self-check (exit 1 on regression): the steady-state slot loop of
-  // batch::simulate must not allocate. Per-run setup (result strings,
-  // the lane and state columns) may cost a fixed number of
-  // allocations, so the gate compares a 1x trace against a 10x tiling
+  // Self-check (exit 1 on regression): the steady-state slot loops of
+  // batch::simulate and sim::simulate must not allocate. Per-run setup
+  // (result strings, the lane and state columns) may cost a fixed number
+  // of allocations, so the gate compares a 1x trace against a 10x tiling
   // of the same slots under identical names: any per-slot heap traffic
   // shows up as a higher count on the long run.
   using namespace fcdpm;
@@ -214,22 +219,29 @@ int main(int argc, char** argv) {
   const sim::CompiledTrace short_compiled(short_trace, config1().device);
   const sim::CompiledTrace long_compiled(long_trace, config1().device);
 
-  (void)allocations_per_run(short_compiled);  // warm lazy init, if any
-  (void)allocations_per_run(long_compiled);
-  const std::size_t short_allocs = allocations_per_run(short_compiled);
-  const std::size_t long_allocs = allocations_per_run(long_compiled);
-  if (long_allocs != short_allocs) {
-    std::fprintf(stderr,
-                 "FAIL: batch::simulate allocated %zu times over %zu slots "
-                 "but %zu times over %zu slots — the steady-state slot "
-                 "loop is no longer allocation-free\n",
-                 short_allocs, short_trace.size(), long_allocs,
-                 long_trace.size());
-    return 1;
+  int status = 0;
+  for (const bool reference : {false, true}) {
+    const char* engine = reference ? "sim::simulate" : "batch::simulate";
+    (void)allocations_per_run(short_compiled, reference);  // warm lazy init
+    (void)allocations_per_run(long_compiled, reference);
+    const std::size_t short_allocs =
+        allocations_per_run(short_compiled, reference);
+    const std::size_t long_allocs =
+        allocations_per_run(long_compiled, reference);
+    if (long_allocs != short_allocs) {
+      std::fprintf(stderr,
+                   "FAIL: %s allocated %zu times over %zu slots but %zu "
+                   "times over %zu slots — the steady-state slot loop is "
+                   "no longer allocation-free\n",
+                   engine, short_allocs, short_trace.size(), long_allocs,
+                   long_trace.size());
+      status = 1;
+      continue;
+    }
+    std::printf(
+        "%s steady-state loop allocation-free (%zu fixed allocations per "
+        "run at both %zu and %zu slots)\n",
+        engine, short_allocs, short_trace.size(), long_trace.size());
   }
-  std::printf(
-      "batch::simulate steady-state loop allocation-free (%zu fixed "
-      "allocations per run at both %zu and %zu slots)\n",
-      short_allocs, short_trace.size(), long_trace.size());
-  return 0;
+  return status;
 }

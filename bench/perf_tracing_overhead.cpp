@@ -153,11 +153,11 @@ int main() {
   (void)run_sample(config, nullptr);
 
   obs::NullTraceSink null_sink;
-  obs::Context null_context(&null_sink, nullptr, nullptr);
+  obs::Context null_context(&null_sink, nullptr);
   DiscardBuffer discard;
   std::ostream jsonl_out(&discard);
   obs::JsonlTraceSink jsonl_sink(jsonl_out);
-  obs::Context jsonl_context(&jsonl_sink, nullptr, nullptr);
+  obs::Context jsonl_context(&jsonl_sink, nullptr);
   const std::vector<double> sim_ms = best_of_interleaved(
       {[&] { return run_sample(config, nullptr); },
        [&] { return run_sample(config, &null_context); },

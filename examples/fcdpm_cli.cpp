@@ -15,11 +15,11 @@
 //   fcdpm_cli bisect   [--policy ...] [--trace ... | --kind ...]
 //                      [--perturb-slot K] [--repro-out prefix]
 //
-// run/compare/lifetime accept --trace-out / --metrics-out /
-// --profile-out to capture a Perfetto trace, a metrics dump and a
-// wall-clock profile of the run (see docs/ARCHITECTURE.md,
-// "Observability"), and --faults <spec|file|storm:SEED[:N]> to inject a
-// fault schedule (see "Fault model & graceful degradation"). Every
+// run/compare/lifetime accept --trace-out / --metrics-out to capture
+// a Perfetto trace and a metrics dump of the run (see
+// docs/ARCHITECTURE.md, "Observability"), and
+// --faults <spec|file|storm:SEED[:N]> to inject a fault schedule (see
+// "Fault model & graceful degradation"). Every
 // sweep runs through one scheduler under a per-point execution
 // contract (see "Crash-safe sweeps & failure quarantine"); sweep's
 // resilience flags set the contract, the journal and the watchdog, and
@@ -173,6 +173,91 @@ std::size_t checked_index_or(const Options& options, const std::string& key,
       parse_unsigned("--" + key, "count", it->second));
 }
 
+/// Strict comma-separated list option. Items are trimmed; an empty
+/// item ("0.5,,0.7", a trailing comma, or an empty value) and a
+/// duplicate item are rejected with the 1-based position — a sweep grid
+/// with silently dropped or doubled points reports misleading results.
+/// Absent option (or absent with empty fallback semantics) returns {}.
+std::vector<std::string> parse_list(const Options& options,
+                                    const std::string& key) {
+  const auto it = options.find(key);
+  if (it == options.end()) {
+    return {};
+  }
+  const std::vector<std::string> raw = split(it->second, ',');
+  std::vector<std::string> items;
+  items.reserve(raw.size());
+  for (std::size_t k = 0; k < raw.size(); ++k) {
+    const std::string item{trim(raw[k])};
+    if (item.empty()) {
+      throw std::runtime_error("--" + key + ": empty value at position " +
+                               std::to_string(k + 1));
+    }
+    items.push_back(item);
+  }
+  return items;
+}
+
+/// Report a duplicate grid value: "--rhos: duplicate value '0.5' at
+/// position 2 (first at position 1)".
+[[noreturn]] void duplicate_error(const std::string& key,
+                                  const std::string& item, std::size_t at,
+                                  std::size_t first) {
+  throw std::runtime_error("--" + key + ": duplicate value '" + item +
+                           "' at position " + std::to_string(at + 1) +
+                           " (first at position " +
+                           std::to_string(first + 1) + ")");
+}
+
+/// Reject duplicates by *parsed* value, so "0.5,0.50" is caught too.
+template <typename T>
+void check_unique(const std::string& key,
+                  const std::vector<std::string>& items,
+                  const std::vector<T>& values) {
+  for (std::size_t k = 0; k < values.size(); ++k) {
+    for (std::size_t j = 0; j < k; ++j) {
+      if (values[j] == values[k]) {
+        duplicate_error(key, items[k], k, j);
+      }
+    }
+  }
+}
+
+std::vector<double> parse_number_list(const Options& options,
+                                      const std::string& key) {
+  const std::vector<std::string> items = parse_list(options, key);
+  std::vector<double> values;
+  values.reserve(items.size());
+  for (std::size_t k = 0; k < items.size(); ++k) {
+    double value = 0.0;
+    if (!parse_double(items[k], value)) {
+      throw std::runtime_error("--" + key + ": invalid number '" +
+                               items[k] + "' at position " +
+                               std::to_string(k + 1));
+    }
+    values.push_back(value);
+  }
+  check_unique(key, items, values);
+  return values;
+}
+
+/// Strict list of non-negative integers (seeds, stack counts): every
+/// item goes through parse_unsigned, so a sign, a fraction, an exponent
+/// or an out-of-range value is an error rather than a wrapped or
+/// truncated count.
+std::vector<std::uint64_t> parse_count_list(const Options& options,
+                                            const std::string& key,
+                                            const std::string& what) {
+  const std::vector<std::string> items = parse_list(options, key);
+  std::vector<std::uint64_t> values;
+  values.reserve(items.size());
+  for (const std::string& item : items) {
+    values.push_back(parse_unsigned("--" + key, what, item));
+  }
+  check_unique(key, items, values);
+  return values;
+}
+
 wl::Trace load_workload(const Options& options) {
   const auto trace_it = options.find("trace");
   if (trace_it != options.end()) {
@@ -274,10 +359,12 @@ sim::ExperimentConfig build_config(const Options& options) {
     }
   }
   // Multi-stack source: --stacks N (>= 1) enables it; sweeps may pass a
-  // comma list here, in which case atof's first value seeds the base
+  // comma list here, in which case its first count seeds the base
   // config and the grid axis overrides every point.
-  const auto stack_count =
-      static_cast<std::size_t>(number_or(options, "stacks", 0.0));
+  const std::vector<std::uint64_t> stack_counts =
+      parse_count_list(options, "stacks", "stack count");
+  const auto stack_count = static_cast<std::size_t>(
+      stack_counts.empty() ? 0 : stack_counts.front());
   config.stacks.config_csv = option_or(options, "stacks-config", "");
   if (stack_count > 0 || !config.stacks.config_csv.empty()) {
     config.stacks.enabled = true;
@@ -303,7 +390,7 @@ void reject_observed_batched(const Options& options,
   if (config.simulation.engine != sim::Engine::Batched) {
     return;
   }
-  for (const char* flag : {"trace-out", "metrics-out", "profile-out"}) {
+  for (const char* flag : {"trace-out", "metrics-out"}) {
     if (options.find(flag) != options.end()) {
       throw std::runtime_error(
           std::string("--engine batched: incompatible with --") + flag +
@@ -369,17 +456,15 @@ sim::SimulationResult run_policy_with_engine(
   }
 }
 
-/// Observability wiring behind --trace-out / --metrics-out /
-/// --profile-out: owns the sink, registry and profiler for one command
-/// and writes the requested files when the command finishes. With none
-/// of the flags given, context() is nullptr and the simulation runs the
-/// untouched fast path.
+/// Observability wiring behind --trace-out / --metrics-out: owns the
+/// sink and registry for one command and writes the requested files
+/// when the command finishes. With neither flag given, context() is
+/// nullptr and the simulation runs the untouched fast path.
 class ObsSession {
  public:
   explicit ObsSession(const Options& options)
       : trace_path_(option_or(options, "trace-out", "")),
-        metrics_path_(option_or(options, "metrics-out", "")),
-        profile_path_(option_or(options, "profile-out", "")) {
+        metrics_path_(option_or(options, "metrics-out", "")) {
     if (!trace_path_.empty()) {
       // Stream into the atomic-write staging sibling; finish() renames
       // it over the destination, so a killed run never leaves a
@@ -401,9 +486,6 @@ class ObsSession {
     if (!metrics_path_.empty()) {
       context_.set_metrics(&metrics_);
     }
-    if (!profile_path_.empty()) {
-      context_.set_profiler(&profiler_);
-    }
   }
 
   /// nullptr when no observability flag was given.
@@ -423,7 +505,7 @@ class ObsSession {
   }
 
   /// Close the sink (Chrome traces need their closing bracket) and
-  /// write the metrics / profile files.
+  /// write the metrics file.
   void finish() {
     if (sink_ != nullptr) {
       sink_->flush();
@@ -436,25 +518,18 @@ class ObsSession {
       report::write_metrics_file(metrics_path_, metrics_);
       std::printf("wrote metrics to %s\n", metrics_path_.c_str());
     }
-    if (!profile_path_.empty()) {
-      write_csv_file(profile_path_, report::profile_to_csv(profiler_));
-      std::printf("wrote profile to %s\n", profile_path_.c_str());
-    }
   }
 
  private:
   [[nodiscard]] bool enabled() const {
-    return !trace_path_.empty() || !metrics_path_.empty() ||
-           !profile_path_.empty();
+    return !trace_path_.empty() || !metrics_path_.empty();
   }
 
   std::string trace_path_;
   std::string metrics_path_;
-  std::string profile_path_;
   std::ofstream stream_;
   std::unique_ptr<obs::TraceSink> sink_;
   obs::MetricsRegistry metrics_;
-  obs::Profiler profiler_;
   obs::Context context_;
 };
 
@@ -882,93 +957,6 @@ int cmd_lifetime(const Options& options) {
   return 0;
 }
 
-/// Strict comma-separated list option. Items are trimmed; an empty
-/// item ("0.5,,0.7", a trailing comma, or an empty value) and a
-/// duplicate item are rejected with the 1-based position — a sweep grid
-/// with silently dropped or doubled points reports misleading results.
-/// Absent option (or absent with empty fallback semantics) returns {}.
-std::vector<std::string> parse_list(const Options& options,
-                                    const std::string& key) {
-  const auto it = options.find(key);
-  if (it == options.end()) {
-    return {};
-  }
-  const std::vector<std::string> raw = split(it->second, ',');
-  std::vector<std::string> items;
-  items.reserve(raw.size());
-  for (std::size_t k = 0; k < raw.size(); ++k) {
-    const std::string item{trim(raw[k])};
-    if (item.empty()) {
-      throw std::runtime_error("--" + key + ": empty value at position " +
-                               std::to_string(k + 1));
-    }
-    items.push_back(item);
-  }
-  return items;
-}
-
-/// Report a duplicate grid value: "--rhos: duplicate value '0.5' at
-/// position 2 (first at position 1)".
-[[noreturn]] void duplicate_error(const std::string& key,
-                                  const std::string& item, std::size_t at,
-                                  std::size_t first) {
-  throw std::runtime_error("--" + key + ": duplicate value '" + item +
-                           "' at position " + std::to_string(at + 1) +
-                           " (first at position " +
-                           std::to_string(first + 1) + ")");
-}
-
-/// Reject duplicates by *parsed* value, so "0.5,0.50" is caught too.
-template <typename T>
-void check_unique(const std::string& key,
-                  const std::vector<std::string>& items,
-                  const std::vector<T>& values) {
-  for (std::size_t k = 0; k < values.size(); ++k) {
-    for (std::size_t j = 0; j < k; ++j) {
-      if (values[j] == values[k]) {
-        duplicate_error(key, items[k], k, j);
-      }
-    }
-  }
-}
-
-std::vector<double> parse_number_list(const Options& options,
-                                      const std::string& key) {
-  const std::vector<std::string> items = parse_list(options, key);
-  std::vector<double> values;
-  values.reserve(items.size());
-  for (std::size_t k = 0; k < items.size(); ++k) {
-    double value = 0.0;
-    if (!parse_double(items[k], value)) {
-      throw std::runtime_error("--" + key + ": invalid number '" +
-                               items[k] + "' at position " +
-                               std::to_string(k + 1));
-    }
-    values.push_back(value);
-  }
-  check_unique(key, items, values);
-  return values;
-}
-
-std::vector<std::uint64_t> parse_seed_list(const Options& options,
-                                           const std::string& key) {
-  const std::vector<std::string> items = parse_list(options, key);
-  std::vector<std::uint64_t> values;
-  values.reserve(items.size());
-  for (std::size_t k = 0; k < items.size(); ++k) {
-    char* end = nullptr;
-    const unsigned long long value =
-        std::strtoull(items[k].c_str(), &end, 10);
-    if (end == items[k].c_str() || *end != '\0') {
-      throw std::runtime_error("--" + key + ": invalid seed '" + items[k] +
-                               "' at position " + std::to_string(k + 1));
-    }
-    values.push_back(static_cast<std::uint64_t>(value));
-  }
-  check_unique(key, items, values);
-  return values;
-}
-
 /// Bitwise comparison of two sweeps over the observable result fields —
 /// the CLI-side mirror of the tests' expect_same_result.
 bool identical_sweeps(const par::SweepResult& a, const par::SweepResult& b) {
@@ -1129,17 +1117,12 @@ par::SweepGrid parse_sweep_grid(const Options& options) {
   for (const double value : parse_number_list(options, "capacities")) {
     grid.capacities.push_back(Coulomb(value));
   }
-  grid.storm_seeds = parse_seed_list(options, "storm-seeds");
+  grid.storm_seeds = parse_count_list(options, "storm-seeds", "seed");
   grid.storm_faults =
       checked_index_or(options, "storm-faults", grid.storm_faults);
-  for (const double value : parse_number_list(options, "stacks")) {
-    if (value < 0.0 || value != static_cast<double>(
-                                   static_cast<std::size_t>(value))) {
-      throw std::runtime_error(
-          "--stacks: counts must be non-negative integers (0 = the "
-          "single-stack base source)");
-    }
-    grid.stack_counts.push_back(static_cast<std::size_t>(value));
+  for (const std::uint64_t count :
+       parse_count_list(options, "stacks", "stack count")) {
+    grid.stack_counts.push_back(static_cast<std::size_t>(count));
   }
   const std::vector<std::string> dist_names =
       parse_list(options, "distributions");
@@ -1148,7 +1131,6 @@ par::SweepGrid parse_sweep_grid(const Options& options) {
   }
   check_unique("distributions", dist_names, grid.distributions);
   if (!grid.distributions.empty() && grid.stack_counts.empty() &&
-      number_or(options, "stacks", 0.0) <= 0.0 &&
       option_or(options, "stacks-config", "").empty()) {
     throw std::runtime_error(
         "--distributions needs a multi-stack source (--stacks N or "
@@ -1549,11 +1531,9 @@ int usage() {
       "                        capacities in sweeps; bit-identical\n"
       "                        results). batched rejects --faults,\n"
       "                        --cap on, --audit strict and, outside\n"
-      "                        sweep, --trace-out/--metrics-out/\n"
-      "                        --profile-out\n"
+      "                        sweep, --trace-out/--metrics-out\n"
       "  --trace-out f.json    Chrome/Perfetto trace (f.jsonl for JSONL)\n"
       "  --metrics-out f.csv   metrics registry dump (f.json for JSON)\n"
-      "  --profile-out f.csv   wall-clock profile of the reference loop\n"
       "  --faults SPEC         inject faults; SPEC is an inline schedule\n"
       "                        (kind@start[:dur][xmag], e.g.\n"
       "                        converter_dropout@120:30,brownout@400x0.5),\n"
@@ -1620,8 +1600,7 @@ std::vector<Command> commands() {
       "cap-table", "cap-hysteresis", "cap-draw-fraction", "audit",
       "audit-sample-period", "audit-tamper-slot", "stacks", "stacks-config",
       "distribution", "stack-charge-fade", "stack-cycle-fade"};
-  const std::vector<std::string_view> obs = {"trace-out", "metrics-out",
-                                             "profile-out"};
+  const std::vector<std::string_view> obs = {"trace-out", "metrics-out"};
   const std::vector<std::string_view> sweep = {
       "jobs", "policies", "rhos", "capacities", "storm-seeds",
       "storm-faults", "distributions", "out", "serial-check", "journal",

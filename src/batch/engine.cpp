@@ -235,7 +235,7 @@ class BatchRunner {
     slot_idle_ = ct_.idle(k);
     run_current_ = ct_.run_current(k);
     active_eff_ = ct_.active_eff(k);
-    dpm_.plan_idle_into(slot_idle_, plan_);
+    dpm_.plan_idle(slot_idle_, plan_);
     if (plan_.slept) {
       ++sleeps_;
     }
@@ -1007,7 +1007,7 @@ class BatchRunner {
   Seconds slot_idle_{0.0};
   Ampere run_current_{0.0};
   Seconds active_eff_{0.0};
-  dpm::InlineIdlePlan plan_;
+  dpm::IdlePlan plan_;
 };
 
 std::vector<LaneOutcome> run_batch_impl(const sim::CompiledTrace& trace,
@@ -1023,8 +1023,8 @@ std::vector<LaneOutcome> run_batch_impl(const sim::CompiledTrace& trace,
 
 bool lane_eligible(const power::HybridPowerSource& hybrid,
                    const sim::SimulationOptions& options) {
-  // The batch loop carries no fault, observer, profile or governor
-  // plumbing: each of those runs on the reference loop.
+  // The batch loop carries no fault, observer, profile recording or
+  // governor plumbing: each of those runs on the reference loop.
   if (options.faults != nullptr || options.record_profiles ||
       options.governor != nullptr ||
       (options.observer != nullptr && options.observer->active())) {

@@ -3,7 +3,7 @@
 // run_batch advances B sweep points *simultaneously* through a single
 // slot loop over point-major SoA state (BatchState). Points that share
 // a DPM policy configuration share the plan computation outright (one
-// plan_idle_into per slot for the whole batch), and points whose FC
+// plan_idle per slot for the whole batch), and points whose FC
 // policies are pure per-phase (segment_setpoint_is_pure) and start from
 // identical physical state are *merged*: one leader lane integrates,
 // and followers — identical in everything but buffer capacity — reuse
@@ -72,8 +72,7 @@ struct BatchStats {
 };
 
 /// True when (hybrid, options) can take the batch loop: no fault
-/// injector, no active observer (even profiler-only: the batch loop has
-/// no per-phase profile scopes), no cap governor, no profile recording,
+/// injector, no active observer, no cap governor, no profile recording,
 /// no observer attached to the hybrid, and the hybrid is the paper
 /// configuration (LinearFuelSource + SuperCapacitor).
 [[nodiscard]] bool lane_eligible(const power::HybridPowerSource& hybrid,

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/solvers.hpp"
-#include "obs/profiler.hpp"
 
 namespace fcdpm::core {
 
@@ -79,8 +78,6 @@ NumericalSlotResult NumericalSlotSolver::solve(
     return value;
   };
 
-  const obs::ProfileScope profile(
-      obs_ != nullptr ? obs_->profiler() : nullptr, "core.numerical_solve");
   const ScalarMinimum best =
       golden_section_minimize(objective, lo, hi, 1e-12, kMaxIterations);
   if (obs_ != nullptr) {

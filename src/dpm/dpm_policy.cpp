@@ -6,24 +6,8 @@
 
 namespace fcdpm::dpm {
 
-Seconds IdlePlan::total_duration() const {
-  Seconds total{0.0};
-  for (const IdleSegment& segment : segments) {
-    total += segment.duration;
-  }
-  return total;
-}
-
-Coulomb IdlePlan::total_charge() const {
-  Coulomb total{0.0};
-  for (const IdleSegment& segment : segments) {
-    total += segment.current * segment.duration;
-  }
-  return total;
-}
-
-void plan_standby_into(const DevicePowerModel& device, Seconds actual_idle,
-                       InlineIdlePlan& plan) {
+void plan_standby(const DevicePowerModel& device, Seconds actual_idle,
+                  IdlePlan& plan) {
   FCDPM_EXPECTS(actual_idle.value() >= 0.0, "idle length must be >= 0");
   plan.slept = false;
   plan.predicted_idle = Seconds(0.0);
@@ -35,8 +19,8 @@ void plan_standby_into(const DevicePowerModel& device, Seconds actual_idle,
   }
 }
 
-void plan_sleep_into(const DevicePowerModel& device, Seconds actual_idle,
-                     InlineIdlePlan& plan) {
+void plan_sleep(const DevicePowerModel& device, Seconds actual_idle,
+                IdlePlan& plan) {
   FCDPM_EXPECTS(actual_idle.value() >= 0.0, "idle length must be >= 0");
   plan.slept = true;
   plan.predicted_idle = Seconds(0.0);
@@ -62,50 +46,6 @@ void plan_sleep_into(const DevicePowerModel& device, Seconds actual_idle,
   }
 }
 
-namespace {
-
-/// Materialize an inline layout as a vector-backed plan. Segments are
-/// appended one by one (no reserve): the vector plan keeps its historic
-/// growth pattern, so existing callers see unchanged behavior while the
-/// segment arithmetic itself is single-sourced in the _into functions.
-[[nodiscard]] IdlePlan to_idle_plan(const InlineIdlePlan& inline_plan) {
-  IdlePlan plan;
-  plan.slept = inline_plan.slept;
-  plan.predicted_idle = inline_plan.predicted_idle;
-  plan.latency_spill = inline_plan.latency_spill;
-  for (std::size_t k = 0; k < inline_plan.count; ++k) {
-    plan.segments.push_back(inline_plan.segments[k]);
-  }
-  return plan;
-}
-
-}  // namespace
-
-IdlePlan plan_standby(const DevicePowerModel& device, Seconds actual_idle) {
-  InlineIdlePlan inline_plan;
-  plan_standby_into(device, actual_idle, inline_plan);
-  return to_idle_plan(inline_plan);
-}
-
-IdlePlan plan_sleep(const DevicePowerModel& device, Seconds actual_idle) {
-  InlineIdlePlan inline_plan;
-  plan_sleep_into(device, actual_idle, inline_plan);
-  return to_idle_plan(inline_plan);
-}
-
-void DpmPolicy::plan_idle_into(Seconds actual_idle, InlineIdlePlan& out) {
-  const IdlePlan plan = plan_idle(actual_idle);
-  FCDPM_ENSURES(plan.segments.size() <= out.segments.size(),
-                "idle plan exceeds inline segment storage");
-  out.slept = plan.slept;
-  out.predicted_idle = plan.predicted_idle;
-  out.latency_spill = plan.latency_spill;
-  out.count = plan.segments.size();
-  for (std::size_t k = 0; k < plan.segments.size(); ++k) {
-    out.segments[k] = plan.segments[k];
-  }
-}
-
 // --- PredictiveDpmPolicy -----------------------------------------------------
 
 PredictiveDpmPolicy::PredictiveDpmPolicy(
@@ -122,28 +62,14 @@ PredictiveDpmPolicy PredictiveDpmPolicy::paper_policy(
       device, std::make_unique<ExponentialAveragePredictor>(rho, initial));
 }
 
-IdlePlan PredictiveDpmPolicy::plan_idle(Seconds actual_idle) {
-  const Seconds predicted = predictor_->predict();
-  accuracy_.record(predicted, actual_idle, break_even_);
-
-  IdlePlan plan = (predicted >= break_even_)
-                      ? plan_sleep(device_, actual_idle)
-                      : plan_standby(device_, actual_idle);
-  plan.predicted_idle = predicted;
-
-  emit_decision(plan.slept, plan.latency_spill, predicted, actual_idle);
-  return plan;
-}
-
-void PredictiveDpmPolicy::plan_idle_into(Seconds actual_idle,
-                                         InlineIdlePlan& out) {
+void PredictiveDpmPolicy::plan_idle(Seconds actual_idle, IdlePlan& out) {
   const Seconds predicted = predictor_->predict();
   accuracy_.record(predicted, actual_idle, break_even_);
 
   if (predicted >= break_even_) {
-    plan_sleep_into(device_, actual_idle, out);
+    plan_sleep(device_, actual_idle, out);
   } else {
-    plan_standby_into(device_, actual_idle, out);
+    plan_standby(device_, actual_idle, out);
   }
   out.predicted_idle = predicted;
 
@@ -205,7 +131,7 @@ TimeoutDpmPolicy::TimeoutDpmPolicy(DevicePowerModel device, Seconds timeout)
   FCDPM_EXPECTS(timeout.value() >= 0.0, "timeout must be non-negative");
 }
 
-IdlePlan TimeoutDpmPolicy::plan_idle(Seconds actual_idle) {
+void TimeoutDpmPolicy::plan_idle(Seconds actual_idle, IdlePlan& out) {
   FCDPM_EXPECTS(actual_idle.value() >= 0.0, "idle length must be >= 0");
 
   // A timeout policy has no real prediction; the last observed idle is
@@ -215,36 +141,13 @@ IdlePlan TimeoutDpmPolicy::plan_idle(Seconds actual_idle) {
       (last_idle_.value() > 0.0) ? last_idle_ : timeout_;
 
   if (actual_idle <= timeout_) {
-    IdlePlan plan = plan_standby(device_, actual_idle);
-    plan.predicted_idle = estimate;
-    return plan;
-  }
-
-  // STANDBY for the timeout, then a sleep episode in the remainder.
-  IdlePlan plan = plan_sleep(device_, actual_idle - timeout_);
-  if (timeout_.value() > 0.0) {
-    plan.segments.insert(
-        plan.segments.begin(),
-        {timeout_, device_.standby_current(), PowerState::Standby});
-  }
-  plan.predicted_idle = estimate;
-  return plan;
-}
-
-void TimeoutDpmPolicy::plan_idle_into(Seconds actual_idle,
-                                      InlineIdlePlan& out) {
-  FCDPM_EXPECTS(actual_idle.value() >= 0.0, "idle length must be >= 0");
-
-  const Seconds estimate =
-      (last_idle_.value() > 0.0) ? last_idle_ : timeout_;
-
-  if (actual_idle <= timeout_) {
-    plan_standby_into(device_, actual_idle, out);
+    plan_standby(device_, actual_idle, out);
     out.predicted_idle = estimate;
     return;
   }
 
-  plan_sleep_into(device_, actual_idle - timeout_, out);
+  // STANDBY for the timeout, then a sleep episode in the remainder.
+  plan_sleep(device_, actual_idle - timeout_, out);
   if (timeout_.value() > 0.0) {
     FCDPM_ENSURES(out.count < out.segments.size(),
                   "idle plan exceeds inline segment storage");
@@ -267,13 +170,9 @@ std::unique_ptr<DpmPolicy> TimeoutDpmPolicy::clone() const {
 AlwaysStandbyDpmPolicy::AlwaysStandbyDpmPolicy(DevicePowerModel device)
     : device_(device) {}
 
-IdlePlan AlwaysStandbyDpmPolicy::plan_idle(Seconds actual_idle) {
-  return plan_standby(device_, actual_idle);
-}
-
-void AlwaysStandbyDpmPolicy::plan_idle_into(Seconds actual_idle,
-                                            InlineIdlePlan& out) {
-  plan_standby_into(device_, actual_idle, out);
+void AlwaysStandbyDpmPolicy::plan_idle(Seconds actual_idle,
+                                       IdlePlan& out) {
+  plan_standby(device_, actual_idle, out);
 }
 
 std::unique_ptr<DpmPolicy> AlwaysStandbyDpmPolicy::clone() const {

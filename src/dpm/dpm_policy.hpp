@@ -6,13 +6,18 @@
 // *actual* idle length. Mispredicted sleeps whose transitions do not fit
 // in the idle period spill past it — the spill is reported as added
 // latency, a metric the ablations track.
+//
+// A policy has one entry point, plan_idle(actual_idle, out), which
+// writes the layout into a caller-owned IdlePlan. Every simulator (the
+// reference loop, the dt-grid oracle and the batched engine) holds one
+// plan per run and refills it each slot, so all of them lay idle
+// periods out through the same code and none allocates per slot.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/units.hpp"
 #include "dpm/power_states.hpp"
@@ -28,25 +33,12 @@ struct IdleSegment {
   PowerState state;  ///< Standby or Sleep (transitions labelled Sleep)
 };
 
-/// Fully laid-out idle period.
+/// Fully laid-out idle period, in fixed inline storage so a simulator
+/// can hold one plan per run and refill it every slot without
+/// allocating. Four segments cover every layout the policies produce
+/// (the deepest is timeout shutdown: standby + power-down + sleep +
+/// wake-up); only the first `count` are meaningful.
 struct IdlePlan {
-  bool slept = false;
-  Seconds predicted_idle{0.0};
-  /// Wake-up time exceeding the idle window (response latency added).
-  Seconds latency_spill{0.0};
-  std::vector<IdleSegment> segments;
-
-  /// Sum of segment durations (== actual idle + latency_spill).
-  [[nodiscard]] Seconds total_duration() const;
-  /// Total charge of the plan at the device terminals.
-  [[nodiscard]] Coulomb total_charge() const;
-};
-
-/// Idle plan laid out into fixed inline storage — the allocation-free
-/// counterpart of IdlePlan for the batched engine (`fcdpm::batch`). Four
-/// segments cover every layout the policies produce (the deepest is
-/// timeout shutdown: standby + power-down + sleep + wake-up).
-struct InlineIdlePlan {
   bool slept = false;
   Seconds predicted_idle{0.0};
   /// Wake-up time exceeding the idle window (response latency added).
@@ -62,26 +54,26 @@ struct InlineIdlePlan {
     }
     return total;
   }
+  /// Total charge of the plan at the device terminals.
+  [[nodiscard]] Coulomb total_charge() const noexcept {
+    Coulomb total{0.0};
+    for (std::size_t k = 0; k < count; ++k) {
+      total += segments[k].current * segments[k].duration;
+    }
+    return total;
+  }
 };
 
-/// Allocation-free layout primitives. These are the single source of
-/// truth for the segment arithmetic: plan_standby()/plan_sleep() wrap
-/// them, so the vector-based and inline plans cannot drift apart.
-void plan_standby_into(const DevicePowerModel& device, Seconds actual_idle,
-                       InlineIdlePlan& plan);
-void plan_sleep_into(const DevicePowerModel& device, Seconds actual_idle,
-                     InlineIdlePlan& plan);
-
 /// Lay out an idle period of `actual_idle` as STANDBY only.
-[[nodiscard]] IdlePlan plan_standby(const DevicePowerModel& device,
-                                    Seconds actual_idle);
+void plan_standby(const DevicePowerModel& device, Seconds actual_idle,
+                  IdlePlan& out);
 
 /// Lay out an idle period of `actual_idle` as a SLEEP episode:
 /// power-down, sleep, wake-up. When the transitions do not fit, the wake
 /// completes after the idle window and the overshoot is reported as
 /// latency_spill (the sleep stretch is then empty).
-[[nodiscard]] IdlePlan plan_sleep(const DevicePowerModel& device,
-                                  Seconds actual_idle);
+void plan_sleep(const DevicePowerModel& device, Seconds actual_idle,
+                IdlePlan& out);
 
 /// DPM policy interface: prediction-driven sleep decisions.
 class DpmPolicy {
@@ -89,17 +81,9 @@ class DpmPolicy {
   virtual ~DpmPolicy() = default;
 
   /// Decide (from internal prediction state only) and lay the idle period
-  /// out against its actual length. Must not let `actual_idle` influence
-  /// the decision — only the layout.
-  [[nodiscard]] virtual IdlePlan plan_idle(Seconds actual_idle) = 0;
-
-  /// Allocation-free counterpart of plan_idle() for the batched engine: lay
-  /// the idle period out into caller-owned inline storage. Must make
-  /// the same decision, mutate the same internal state, and produce the
-  /// same segments as plan_idle() — the differential tests hold every
-  /// policy to that. The default wraps plan_idle() (and allocates);
-  /// policies on the hot path override it.
-  virtual void plan_idle_into(Seconds actual_idle, InlineIdlePlan& out);
+  /// out against its actual length into caller-owned `out`. Must not let
+  /// `actual_idle` influence the decision — only the layout.
+  virtual void plan_idle(Seconds actual_idle, IdlePlan& out) = 0;
 
   /// Feed the observed idle length back to the predictor.
   virtual void observe_idle(Seconds actual_idle) = 0;
@@ -137,8 +121,7 @@ class PredictiveDpmPolicy final : public DpmPolicy {
   [[nodiscard]] static PredictiveDpmPolicy paper_policy(
       DevicePowerModel device, double rho, Seconds initial);
 
-  [[nodiscard]] IdlePlan plan_idle(Seconds actual_idle) override;
-  void plan_idle_into(Seconds actual_idle, InlineIdlePlan& out) override;
+  void plan_idle(Seconds actual_idle, IdlePlan& out) override;
   void observe_idle(Seconds actual_idle) override;
   [[nodiscard]] Seconds predicted_idle() const override;
   [[nodiscard]] const DevicePowerModel& device() const override {
@@ -172,8 +155,7 @@ class TimeoutDpmPolicy final : public DpmPolicy {
  public:
   TimeoutDpmPolicy(DevicePowerModel device, Seconds timeout);
 
-  [[nodiscard]] IdlePlan plan_idle(Seconds actual_idle) override;
-  void plan_idle_into(Seconds actual_idle, InlineIdlePlan& out) override;
+  void plan_idle(Seconds actual_idle, IdlePlan& out) override;
   void observe_idle(Seconds actual_idle) override {
     last_idle_ = actual_idle;
   }
@@ -198,8 +180,7 @@ class AlwaysStandbyDpmPolicy final : public DpmPolicy {
  public:
   explicit AlwaysStandbyDpmPolicy(DevicePowerModel device);
 
-  [[nodiscard]] IdlePlan plan_idle(Seconds actual_idle) override;
-  void plan_idle_into(Seconds actual_idle, InlineIdlePlan& out) override;
+  void plan_idle(Seconds actual_idle, IdlePlan& out) override;
   void observe_idle(Seconds actual_idle) override {
     last_idle_ = actual_idle;
   }

@@ -64,11 +64,13 @@ bool StochasticDpmPolicy::would_sleep() const {
   return expected_sleep_energy() < expected_standby_energy();
 }
 
-IdlePlan StochasticDpmPolicy::plan_idle(Seconds actual_idle) {
-  IdlePlan plan = would_sleep() ? plan_sleep(device_, actual_idle)
-                                : plan_standby(device_, actual_idle);
-  plan.predicted_idle = predicted_idle();
-  return plan;
+void StochasticDpmPolicy::plan_idle(Seconds actual_idle, IdlePlan& out) {
+  if (would_sleep()) {
+    plan_sleep(device_, actual_idle, out);
+  } else {
+    plan_standby(device_, actual_idle, out);
+  }
+  out.predicted_idle = predicted_idle();
 }
 
 void StochasticDpmPolicy::observe_idle(Seconds actual_idle) {

@@ -29,7 +29,7 @@ class StochasticDpmPolicy final : public DpmPolicy {
   StochasticDpmPolicy(DevicePowerModel device, std::size_t window,
                       std::size_t warmup, Seconds initial_estimate);
 
-  [[nodiscard]] IdlePlan plan_idle(Seconds actual_idle) override;
+  void plan_idle(Seconds actual_idle, IdlePlan& out) override;
   void observe_idle(Seconds actual_idle) override;
   [[nodiscard]] Seconds predicted_idle() const override;
   [[nodiscard]] const DevicePowerModel& device() const override {

@@ -5,7 +5,7 @@
 //
 // Layering (each header is also individually includable):
 //   common   — units, math, solvers, RNG, CSV, contracts
-//   obs      — tracing, metrics registry, wall-clock profiling (opt-in)
+//   obs      — tracing, metrics registry (opt-in)
 //   fault    — fault schedules/injection, robustness accounting (opt-in)
 //   fuelcell — polarization, stack, fuel/Gibbs model
 //   power    — converters, controllers, FC system, storage, hybrid
@@ -31,7 +31,6 @@
 
 #include "obs/context.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
 #include "obs/trace_sink.hpp"
 
 #include "fault/fault.hpp"

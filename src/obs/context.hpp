@@ -1,8 +1,8 @@
 // The opt-in observability handle threaded through the simulation
-// stack: a trace sink, a metrics registry and a profiler, each
-// individually optional, plus the simulated-time clock the emitting
-// code keeps advanced so instrumented *policies* (which do not track
-// time themselves) can stamp events correctly.
+// stack: a trace sink and a metrics registry, each individually
+// optional, plus the simulated-time clock the emitting code keeps
+// advanced so instrumented *policies* (which do not track time
+// themselves) can stamp events correctly.
 //
 // Everything takes a `Context*`; nullptr means "observability off" and
 // costs one pointer compare per site — the default simulation path
@@ -14,7 +14,6 @@
 
 #include "common/units.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
 #include "obs/trace_sink.hpp"
 
 namespace fcdpm::obs {
@@ -22,9 +21,8 @@ namespace fcdpm::obs {
 class Context {
  public:
   Context() = default;
-  Context(TraceSink* sink, MetricsRegistry* metrics,
-          Profiler* profiler) noexcept
-      : metrics_(metrics), profiler_(profiler) {
+  Context(TraceSink* sink, MetricsRegistry* metrics) noexcept
+      : metrics_(metrics) {
     set_sink(sink);
   }
 
@@ -42,12 +40,11 @@ class Context {
   /// observer (nothing is attached, the clock does not advance), which
   /// is what makes a NullTraceSink-only context truly zero-overhead.
   [[nodiscard]] bool active() const noexcept {
-    return emitting_ || metrics_ != nullptr || profiler_ != nullptr;
+    return emitting_ || metrics_ != nullptr;
   }
   [[nodiscard]] MetricsRegistry* metrics() const noexcept {
     return metrics_;
   }
-  [[nodiscard]] Profiler* profiler() const noexcept { return profiler_; }
 
   /// Caches sink->discards(): a NullTraceSink costs the same as no sink
   /// at all (emit() returns before building the event).
@@ -58,7 +55,6 @@ class Context {
   void set_metrics(MetricsRegistry* metrics) noexcept {
     metrics_ = metrics;
   }
-  void set_profiler(Profiler* profiler) noexcept { profiler_ = profiler; }
 
   // --- simulated clock -------------------------------------------------------
 
@@ -131,7 +127,6 @@ class Context {
   TraceSink* sink_ = nullptr;
   bool emitting_ = false;
   MetricsRegistry* metrics_ = nullptr;
-  Profiler* profiler_ = nullptr;
   Seconds now_{0.0};
   int track_ = 0;
 };

@@ -1,10 +1,6 @@
 #include "report/obs_export.hpp"
 
-#include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <utility>
-#include <vector>
 
 #include "common/atomic_file.hpp"
 #include "obs/trace_sink.hpp"
@@ -69,32 +65,6 @@ void write_metrics_file(const std::string& path,
     return;
   }
   write_csv_file(path, metrics_to_csv(metrics));
-}
-
-CsvDocument profile_to_csv(const obs::Profiler& profiler) {
-  using Entry = std::pair<std::string, obs::Profiler::ScopeStats>;
-  std::vector<Entry> entries(profiler.scopes().begin(),
-                             profiler.scopes().end());
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) {
-              return a.second.total > b.second.total;
-            });
-
-  CsvDocument doc;
-  doc.header = {"scope", "calls", "total_ms", "mean_us", "min_us", "max_us"};
-  for (const Entry& entry : entries) {
-    const obs::Profiler::ScopeStats& stats = entry.second;
-    const double total_us =
-        static_cast<double>(stats.total.count()) / 1e3;
-    const double calls = static_cast<double>(stats.calls);
-    doc.rows.push_back(
-        {entry.first, format_count(stats.calls),
-         format_double(total_us / 1e3),
-         format_double(stats.calls == 0 ? 0.0 : total_us / calls),
-         format_double(static_cast<double>(stats.min.count()) / 1e3),
-         format_double(static_cast<double>(stats.max.count()) / 1e3)});
-  }
-  return doc;
 }
 
 }  // namespace fcdpm::report

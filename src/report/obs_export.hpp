@@ -8,7 +8,6 @@
 
 #include "common/csv.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
 
 namespace fcdpm::report {
 
@@ -30,9 +29,5 @@ namespace fcdpm::report {
 /// Throws CsvError when the file cannot be created.
 void write_metrics_file(const std::string& path,
                         const obs::MetricsRegistry& metrics);
-
-/// CSV of wall-clock profile scopes: name, calls, total_ms, mean_us,
-/// min_us, max_us; longest total first.
-[[nodiscard]] CsvDocument profile_to_csv(const obs::Profiler& profiler);
 
 }  // namespace fcdpm::report

@@ -8,7 +8,6 @@
 #include "cap/governor.hpp"
 #include "common/contracts.hpp"
 #include "fault/injector.hpp"
-#include "obs/profiler.hpp"
 #include "sim/fault_guard.hpp"
 #include "sim/observer_guard.hpp"
 #include "stacks/multi_stack.hpp"
@@ -27,9 +26,8 @@ Coulomb run_segment(power::HybridPowerSource& hybrid,
                     core::FcOutputPolicy& fc_policy,
                     const core::SegmentContext& context, Seconds duration,
                     ProfileRecorder* recorder, Coulomb& if_dt_accumulator,
-                    obs::Context* trace_obs, obs::Profiler* profiler,
-                    audit::Auditor* auditor, std::size_t slot_index) {
-  const obs::ProfileScope profile(profiler, "sim.run_segment");
+                    obs::Context* trace_obs, audit::Auditor* auditor,
+                    std::size_t slot_index) {
   const core::SegmentSetpoint sp = fc_policy.segment_setpoint(context);
 
   Seconds first_span = duration;
@@ -130,7 +128,6 @@ SimulationResult simulate(const wl::Trace& trace, dpm::DpmPolicy& dpm_policy,
   // Resolved once: non-null only when events actually reach a sink.
   obs::Context* trace_obs =
       (obs != nullptr && obs->tracing()) ? obs : nullptr;
-  obs::Profiler* profiler = obs != nullptr ? obs->profiler() : nullptr;
   const ObserverGuard observer_guard(obs, dpm_policy, fc_policy, hybrid);
 
   // Fault side-car: reset the injector's clock at run start unless this
@@ -162,7 +159,9 @@ SimulationResult simulate(const wl::Trace& trace, dpm::DpmPolicy& dpm_policy,
   audit::Auditor* auditor = options.auditor;
   const double bus_v = device.bus_voltage.value();
 
-  const obs::ProfileScope profile(profiler, "sim.simulate");
+  // Held across slots and refilled by the policy, so the loop does not
+  // allocate per slot.
+  dpm::IdlePlan plan;
   if (trace_obs != nullptr) {
     trace_obs->span_begin("sim", "simulate",
                           {{"slots", static_cast<double>(trace.size())}});
@@ -256,7 +255,7 @@ SimulationResult simulate(const wl::Trace& trace, dpm::DpmPolicy& dpm_policy,
     }
 
     // --- idle phase --------------------------------------------------------
-    dpm::IdlePlan plan = dpm_policy.plan_idle(slot.idle);
+    dpm_policy.plan_idle(slot.idle, plan);
     if (plan.slept) {
       ++result.sleeps;
     }
@@ -296,7 +295,8 @@ SimulationResult simulate(const wl::Trace& trace, dpm::DpmPolicy& dpm_policy,
     fc_policy.on_idle_start(idle_context);
 
     Coulomb if_dt_idle{0.0};
-    for (const dpm::IdleSegment& segment : plan.segments) {
+    for (std::size_t s = 0; s < plan.count; ++s) {
+      const dpm::IdleSegment& segment = plan.segments[s];
       core::SegmentContext context;
       context.phase = core::Phase::Idle;
       context.state = segment.state;
@@ -311,7 +311,7 @@ SimulationResult simulate(const wl::Trace& trace, dpm::DpmPolicy& dpm_policy,
                                {"duration_s", segment.duration.value()}});
       }
       run_segment(hybrid, fc_policy, context, segment.duration, rec,
-                  if_dt_idle, trace_obs, profiler, slot_auditor, k);
+                  if_dt_idle, trace_obs, slot_auditor, k);
       if (trace_obs != nullptr) {
         trace_obs->span_end("sim", segment_name);
       }
@@ -352,7 +352,7 @@ SimulationResult simulate(const wl::Trace& trace, dpm::DpmPolicy& dpm_policy,
                              {"current_A", run_current.value()}});
     }
     run_segment(hybrid, fc_policy, context, active_eff, rec, if_dt_active,
-                trace_obs, profiler, slot_auditor, k);
+                trace_obs, slot_auditor, k);
     if (trace_obs != nullptr) {
       trace_obs->span_end("sim", "active");
     }

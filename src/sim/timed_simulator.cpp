@@ -2,7 +2,6 @@
 
 #include "common/contracts.hpp"
 #include "fault/injector.hpp"
-#include "obs/profiler.hpp"
 #include "sim/fault_guard.hpp"
 #include "sim/observer_guard.hpp"
 
@@ -81,8 +80,9 @@ SimulationResult simulate_timed(const wl::Trace& trace,
   }
   const FaultGuard fault_guard(faults, fc_policy, hybrid);
 
-  const obs::ProfileScope profile(
-      obs != nullptr ? obs->profiler() : nullptr, "sim.simulate_timed");
+  // Held across slots and refilled by the policy, so the loop does not
+  // allocate per slot.
+  dpm::IdlePlan plan;
   if (trace_obs != nullptr) {
     trace_obs->span_begin("sim", "simulate_timed",
                           {{"slots", static_cast<double>(trace.size())},
@@ -110,7 +110,7 @@ SimulationResult simulate_timed(const wl::Trace& trace,
       }
     }
 
-    dpm::IdlePlan plan = dpm_policy.plan_idle(slot.idle);
+    dpm_policy.plan_idle(slot.idle, plan);
     if (plan.slept) {
       ++result.sleeps;
     }
@@ -148,7 +148,8 @@ SimulationResult simulate_timed(const wl::Trace& trace,
       }
       obs->count("sim.slots");
     }
-    for (const dpm::IdleSegment& segment : plan.segments) {
+    for (std::size_t s = 0; s < plan.count; ++s) {
+      const dpm::IdleSegment& segment = plan.segments[s];
       core::SegmentContext context;
       context.phase = core::Phase::Idle;
       context.state = segment.state;

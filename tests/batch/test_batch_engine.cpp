@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -23,11 +24,11 @@
 #include "batch/lifetime.hpp"
 #include "cap/governor.hpp"
 #include "common/contracts.hpp"
+#include "dpm/stochastic_policy.hpp"
 #include "fault/injector.hpp"
 #include "fault/schedule.hpp"
 #include "obs/context.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
 #include "obs/trace_sink.hpp"
 #include "sim/compiled_trace.hpp"
 #include "sim/experiments.hpp"
@@ -394,20 +395,12 @@ TEST(BatchEngine, LifetimeMeasurementIsBitIdentical) {
 }
 
 // Eligibility is a strict subset of what the reference loop accepts:
-// even a profiler-only observer evicts (the batch loop has no per-phase
-// profile scopes), as does profile recording.
+// profile recording evicts.
 TEST(BatchEngine, LaneEligibilityIsStricterThanReference) {
   const sim::ExperimentConfig base = base_config();
   power::HybridPowerSource hybrid = sim::make_hybrid(base);
   const sim::SimulationOptions plain = base.simulation;
   EXPECT_TRUE(batch::lane_eligible(hybrid, plain));
-
-  obs::Profiler profiler;
-  obs::Context profiled;
-  profiled.set_profiler(&profiler);
-  sim::SimulationOptions with_profiler = plain;
-  with_profiler.observer = &profiled;
-  EXPECT_FALSE(batch::lane_eligible(hybrid, with_profiler));
 
   sim::SimulationOptions with_profiles = plain;
   with_profiles.record_profiles = true;
@@ -416,9 +409,7 @@ TEST(BatchEngine, LaneEligibilityIsStricterThanReference) {
 
 // --- Single runs (B = 1) ----------------------------------------------
 // batch::simulate against sim::simulate, one point at a time, on every
-// option that changes the execution path. The HotEngine suite name
-// predates the batched engine's B = 1 path; these cases now hold that
-// path to the reference.
+// option that changes the execution path.
 
 /// Fresh policy/hybrid set for one run (both engines mutate them).
 struct Rig {
@@ -452,7 +443,7 @@ const sim::PolicyKind kAllPolicies[] = {
     sim::PolicyKind::Conv, sim::PolicyKind::Asap, sim::PolicyKind::FcDpm,
     sim::PolicyKind::Oracle};
 
-TEST(HotEngine, BitIdenticalAcrossPoliciesOnTheCamcorderTrace) {
+TEST(BatchEngineSingleLane, BitIdenticalAcrossPoliciesOnTheCamcorderTrace) {
   const sim::ExperimentConfig config = sim::experiment1_config();
   for (const sim::PolicyKind kind : kAllPolicies) {
     SCOPED_TRACE(sim::to_string(kind));
@@ -462,7 +453,56 @@ TEST(HotEngine, BitIdenticalAcrossPoliciesOnTheCamcorderTrace) {
   }
 }
 
-TEST(HotEngine, BitIdenticalOnTheSyntheticExperiment) {
+// The B = 1 loop and the reference loop lay idle periods out through
+// the same DpmPolicy::plan_idle, so every DPM policy — not only the
+// paper's predictive one — must give bit-identical runs on both.
+TEST(BatchEngineSingleLane, BitIdenticalAcrossDpmPolicies) {
+  const sim::ExperimentConfig config = sim::experiment1_config();
+  const sim::CompiledTrace compiled(config.trace, config.device);
+  const std::vector<std::function<std::unique_ptr<dpm::DpmPolicy>()>>
+      dpm_policies = {
+          [&] {
+            return std::make_unique<dpm::PredictiveDpmPolicy>(
+                sim::make_dpm_policy(config));
+          },
+          [&] {
+            return std::make_unique<dpm::TimeoutDpmPolicy>(config.device,
+                                                           Seconds(2.0));
+          },
+          [&] {
+            return std::make_unique<dpm::StochasticDpmPolicy>(
+                config.device, 16, 4, Seconds(5.0));
+          },
+          [&] {
+            return std::make_unique<dpm::AlwaysStandbyDpmPolicy>(
+                config.device);
+          },
+      };
+  sim::SimulationOptions options = config.simulation;
+  options.keep_slot_records = true;
+  for (const auto& make_dpm : dpm_policies) {
+    for (const sim::PolicyKind kind : kAllPolicies) {
+      const std::unique_ptr<dpm::DpmPolicy> ref_dpm = make_dpm();
+      SCOPED_TRACE(ref_dpm->name() + " / " + sim::to_string(kind));
+      auto ref_fc = sim::make_fc_policy(kind, config);
+      power::HybridPowerSource ref_hybrid = sim::make_hybrid(config);
+      const sim::SimulationResult ref = sim::simulate(
+          config.trace, *ref_dpm, *ref_fc, ref_hybrid, options);
+
+      const std::unique_ptr<dpm::DpmPolicy> got_dpm = make_dpm();
+      auto got_fc = sim::make_fc_policy(kind, config);
+      power::HybridPowerSource got_hybrid = sim::make_hybrid(config);
+      ASSERT_TRUE(batch::lane_eligible(got_hybrid, options));
+      const sim::SimulationResult got =
+          batch::simulate(compiled, *got_dpm, *got_fc, got_hybrid, options);
+
+      expect_identical_results(ref, got);
+      expect_identical_hybrids(ref_hybrid, got_hybrid);
+    }
+  }
+}
+
+TEST(BatchEngineSingleLane, BitIdenticalOnTheSyntheticExperiment) {
   const sim::ExperimentConfig config = sim::experiment2_config();
   for (const sim::PolicyKind kind : kAllPolicies) {
     SCOPED_TRACE(sim::to_string(kind));
@@ -472,7 +512,7 @@ TEST(HotEngine, BitIdenticalOnTheSyntheticExperiment) {
   }
 }
 
-TEST(HotEngine, BitIdenticalOnFuzzedSyntheticTraces) {
+TEST(BatchEngineSingleLane, BitIdenticalOnFuzzedSyntheticTraces) {
   for (const std::uint64_t seed : {1u, 7u, 42u, 1234u, 99991u}) {
     SCOPED_TRACE(seed);
     sim::ExperimentConfig config = sim::experiment2_config();
@@ -485,7 +525,7 @@ TEST(HotEngine, BitIdenticalOnFuzzedSyntheticTraces) {
   }
 }
 
-TEST(HotEngine, BitIdenticalWithNonEmptyInitialStorage) {
+TEST(BatchEngineSingleLane, BitIdenticalWithNonEmptyInitialStorage) {
   const sim::ExperimentConfig config = sim::experiment1_config();
   sim::SimulationOptions options = config.simulation;
   options.initial_storage = Coulomb(3.5);
@@ -494,7 +534,7 @@ TEST(HotEngine, BitIdenticalWithNonEmptyInitialStorage) {
   expect_differential_identity(config, sim::PolicyKind::FcDpm, options);
 }
 
-TEST(HotEngine, FaultInjectionFallsBackAndStaysIdentical) {
+TEST(BatchEngineSingleLane, FaultInjectionFallsBackAndStaysIdentical) {
   const sim::ExperimentConfig config = sim::experiment1_config();
   const fault::FaultSchedule schedule = fault::FaultSchedule::random_storm(
       7, 12, config.trace.stats().total_duration());
@@ -524,7 +564,7 @@ TEST(HotEngine, FaultInjectionFallsBackAndStaysIdentical) {
             got_result.robustness->brownouts);
 }
 
-TEST(HotEngine, TracingObserverFallsBackAndStaysIdentical) {
+TEST(BatchEngineSingleLane, TracingObserverFallsBackAndStaysIdentical) {
   const sim::ExperimentConfig config = sim::experiment1_config();
   const sim::CompiledTrace compiled(config.trace, config.device);
 
@@ -564,42 +604,7 @@ TEST(HotEngine, TracingObserverFallsBackAndStaysIdentical) {
   EXPECT_EQ(ref_stream.str(), got_stream.str());
 }
 
-TEST(HotEngine, ProfilerOnlyObserverFallsBackAndStaysIdentical) {
-  const sim::ExperimentConfig config = sim::experiment1_config();
-  const sim::CompiledTrace compiled(config.trace, config.device);
-
-  obs::Profiler ref_profiler;
-  obs::Context ref_context;
-  ref_context.set_profiler(&ref_profiler);
-  sim::SimulationOptions ref_options = config.simulation;
-  ref_options.observer = &ref_context;
-  Rig ref(config, sim::PolicyKind::FcDpm);
-  const sim::SimulationResult ref_result = sim::simulate(
-      config.trace, ref.dpm, *ref.fc, ref.hybrid, ref_options);
-
-  obs::Profiler profiler;
-  obs::Context context;
-  context.set_profiler(&profiler);
-  sim::SimulationOptions options = config.simulation;
-  options.observer = &context;
-  EXPECT_FALSE(batch::lane_eligible(ref.hybrid, options));
-  Rig got(config, sim::PolicyKind::FcDpm);
-  const sim::SimulationResult got_result = batch::simulate(
-      compiled, got.dpm, *got.fc, got.hybrid, options);
-
-  expect_identical_results(ref_result, got_result);
-  expect_identical_hybrids(ref.hybrid, got.hybrid);
-  // The profile is the reference loop's: same scopes, same call counts.
-  ASSERT_FALSE(profiler.scopes().empty());
-  ASSERT_EQ(profiler.scopes().size(), ref_profiler.scopes().size());
-  for (const auto& [name, stats] : ref_profiler.scopes()) {
-    SCOPED_TRACE(name);
-    ASSERT_EQ(profiler.scopes().count(name), 1u);
-    EXPECT_EQ(profiler.scopes().at(name).calls, stats.calls);
-  }
-}
-
-TEST(HotEngine, GovernorFallsBackAndStaysIdentical) {
+TEST(BatchEngineSingleLane, GovernorFallsBackAndStaysIdentical) {
   sim::ExperimentConfig config = sim::experiment1_config();
   config.cap.enabled = true;
   const sim::CompiledTrace compiled(config.trace, config.device);
@@ -628,7 +633,7 @@ TEST(HotEngine, GovernorFallsBackAndStaysIdentical) {
   EXPECT_EQ(ref_result.cap->slots_capped, got_result.cap->slots_capped);
 }
 
-TEST(HotEngine, RecordProfilesFallsBackAndStaysIdentical) {
+TEST(BatchEngineSingleLane, RecordProfilesFallsBackAndStaysIdentical) {
   const sim::ExperimentConfig config = sim::experiment1_config();
   sim::SimulationOptions options = config.simulation;
   options.record_profiles = true;
@@ -645,7 +650,7 @@ TEST(HotEngine, RecordProfilesFallsBackAndStaysIdentical) {
   ASSERT_EQ(ref_result.profiles.has_value(), got_result.profiles.has_value());
 }
 
-TEST(HotEngine, PreservedSourceStateAccumulatesIdentically) {
+TEST(BatchEngineSingleLane, PreservedSourceStateAccumulatesIdentically) {
   const sim::ExperimentConfig config = sim::experiment1_config();
   const sim::CompiledTrace compiled(config.trace, config.device);
   const sim::SimulationOptions first = config.simulation;
@@ -666,7 +671,7 @@ TEST(HotEngine, PreservedSourceStateAccumulatesIdentically) {
   expect_identical_hybrids(ref.hybrid, got.hybrid);
 }
 
-TEST(HotEngine, SlotBudgetThrowsWithIdenticalPartialState) {
+TEST(BatchEngineSingleLane, SlotBudgetThrowsWithIdenticalPartialState) {
   const sim::ExperimentConfig config = sim::experiment1_config();
   const sim::CompiledTrace compiled(config.trace, config.device);
   sim::SimulationOptions options = config.simulation;
@@ -687,7 +692,7 @@ TEST(HotEngine, SlotBudgetThrowsWithIdenticalPartialState) {
   EXPECT_GT(got.hybrid.totals().fuel.value(), 0.0);
 }
 
-TEST(HotEngine, CancelledTokenThrowsOnBothEngines) {
+TEST(BatchEngineSingleLane, CancelledTokenThrowsOnBothEngines) {
   const sim::ExperimentConfig config = sim::experiment1_config();
   const sim::CompiledTrace compiled(config.trace, config.device);
   sim::CancellationToken token;
@@ -709,7 +714,7 @@ TEST(HotEngine, CancelledTokenThrowsOnBothEngines) {
   expect_identical_hybrids(ref.hybrid, got.hybrid);
 }
 
-TEST(HotEngine, LifetimeMeasurementIsBitIdentical) {
+TEST(BatchEngineSingleLane, LifetimeMeasurementIsBitIdentical) {
   const sim::ExperimentConfig config = sim::experiment1_config();
   const sim::CompiledTrace compiled(config.trace, config.device);
   sim::LifetimeOptions options;
@@ -734,7 +739,7 @@ TEST(HotEngine, LifetimeMeasurementIsBitIdentical) {
   }
 }
 
-TEST(HotEngine, RefusesACompiledTraceFromAnotherDevice) {
+TEST(BatchEngineSingleLane, RefusesACompiledTraceFromAnotherDevice) {
   const sim::ExperimentConfig config = sim::experiment1_config();
   dpm::DevicePowerModel other = config.device;
   other.bus_voltage = Volt(11.0);
@@ -752,7 +757,7 @@ TEST(HotEngine, RefusesACompiledTraceFromAnotherDevice) {
                PreconditionError);
 }
 
-TEST(HotEngine, LaneEligibilityMatchesTheDocumentedRules) {
+TEST(BatchEngineSingleLane, LaneEligibilityMatchesTheDocumentedRules) {
   sim::ExperimentConfig config = sim::experiment1_config();
   power::HybridPowerSource hybrid = sim::make_hybrid(config);
   const sim::SimulationOptions plain = config.simulation;

@@ -24,6 +24,18 @@ DevicePowerModel random_device(Rng& rng) {
   return device;
 }
 
+IdlePlan standby_layout(const DevicePowerModel& device, Seconds idle) {
+  IdlePlan plan;
+  plan_standby(device, idle, plan);
+  return plan;
+}
+
+IdlePlan sleep_layout(const DevicePowerModel& device, Seconds idle) {
+  IdlePlan plan;
+  plan_sleep(device, idle, plan);
+  return plan;
+}
+
 class PlanPropertySweep : public ::testing::TestWithParam<std::uint64_t> {
 };
 
@@ -33,7 +45,7 @@ TEST_P(PlanPropertySweep, SleepPlansConserveTimeAndCharge) {
     const DevicePowerModel device = random_device(rng);
     const Seconds idle(rng.uniform(0.0, 40.0));
 
-    const IdlePlan plan = plan_sleep(device, idle);
+    const IdlePlan plan = sleep_layout(device, idle);
     // Time: total duration covers exactly max(idle, transitions).
     const double expected = std::max(
         idle.value(), device.sleep_transition_delay().value());
@@ -50,7 +62,8 @@ TEST_P(PlanPropertySweep, SleepPlansConserveTimeAndCharge) {
                           device.sleep_current().value() * idle.value() +
                           1e-9);
     // Segment labels: all Sleep-phase states.
-    for (const IdleSegment& segment : plan.segments) {
+    for (std::size_t s = 0; s < plan.count; ++s) {
+      const IdleSegment& segment = plan.segments[s];
       EXPECT_EQ(segment.state, PowerState::Sleep);
       EXPECT_GT(segment.duration.value(), 0.0);
       EXPECT_GE(segment.current.value(), 0.0);
@@ -63,7 +76,7 @@ TEST_P(PlanPropertySweep, StandbyPlansAreExact) {
   for (int k = 0; k < 200; ++k) {
     const DevicePowerModel device = random_device(rng);
     const Seconds idle(rng.uniform(0.0, 40.0));
-    const IdlePlan plan = plan_standby(device, idle);
+    const IdlePlan plan = standby_layout(device, idle);
     EXPECT_NEAR(plan.total_duration().value(), idle.value(), 1e-12);
     EXPECT_NEAR(plan.total_charge().value(),
                 device.standby_current().value() * idle.value(), 1e-9);
@@ -80,9 +93,9 @@ TEST_P(PlanPropertySweep, SleepBeatsStandbyExactlyAboveBreakEven) {
     const double t_be = device.break_even_time().value();
 
     const double at_be_sleep =
-        plan_sleep(device, Seconds(t_be)).total_charge().value();
+        sleep_layout(device, Seconds(t_be)).total_charge().value();
     const double at_be_standby =
-        plan_standby(device, Seconds(t_be)).total_charge().value();
+        standby_layout(device, Seconds(t_be)).total_charge().value();
     // At Tbe the costs tie (when Tbe is not clipped by the transition
     // floor, where sleeping is already cheaper).
     if (t_be > device.sleep_transition_delay().value() + 1e-9) {
@@ -92,8 +105,8 @@ TEST_P(PlanPropertySweep, SleepBeatsStandbyExactlyAboveBreakEven) {
     }
 
     const double above = t_be * 1.5 + 1.0;
-    EXPECT_LT(plan_sleep(device, Seconds(above)).total_charge().value(),
-              plan_standby(device, Seconds(above)).total_charge().value());
+    EXPECT_LT(sleep_layout(device, Seconds(above)).total_charge().value(),
+              standby_layout(device, Seconds(above)).total_charge().value());
   }
 }
 

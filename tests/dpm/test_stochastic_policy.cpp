@@ -28,7 +28,8 @@ TEST(StochasticPolicy, LongIdlesLeadToSleeping) {
     policy.observe_idle(Seconds(15.0));
   }
   EXPECT_TRUE(policy.would_sleep());
-  const IdlePlan plan = policy.plan_idle(Seconds(15.0));
+  IdlePlan plan;
+  policy.plan_idle(Seconds(15.0), plan);
   EXPECT_TRUE(plan.slept);
 }
 

@@ -154,10 +154,6 @@ TEST(Context, ActiveOnlyWhenSomeBackendCanRecord) {
   EXPECT_TRUE(context.active());
   context.set_metrics(nullptr);
   EXPECT_FALSE(context.active());
-
-  Profiler profiler;
-  context.set_profiler(&profiler);
-  EXPECT_TRUE(context.active());
 }
 
 TEST(Context, StampsClockTrackAndArgs) {

@@ -139,7 +139,7 @@ TEST(SweepTest, StatsCountPointsAndPublishToObserver) {
   grid.storm_seeds = {0};
 
   obs::MetricsRegistry metrics;
-  obs::Context obs(nullptr, &metrics, nullptr);
+  obs::Context obs(nullptr, &metrics);
   SweepOptions options;
   options.jobs = 2;
   options.observer = &obs;

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <sstream>
 #include <string>
 
@@ -76,21 +75,6 @@ TEST(ObsExport, EmptyRegistrySerializes) {
   const obs::MetricsRegistry registry;
   EXPECT_TRUE(metrics_to_csv(registry).rows.empty());
   EXPECT_EQ(metrics_to_json(registry), "{\"metrics\":[]}\n");
-}
-
-TEST(ObsExport, ProfileCsvSortedByTotal) {
-  obs::Profiler profiler;
-  profiler.record("fast", std::chrono::nanoseconds(2000));
-  profiler.record("slow", std::chrono::nanoseconds(8000000));
-  profiler.record("slow", std::chrono::nanoseconds(2000000));
-
-  const CsvDocument doc = profile_to_csv(profiler);
-  ASSERT_EQ(doc.header.size(), 6u);
-  ASSERT_EQ(doc.rows.size(), 2u);
-  EXPECT_EQ(doc.rows[0][0], "slow");
-  EXPECT_EQ(doc.rows[0][1], "2");
-  EXPECT_EQ(doc.rows[0][2], "10");  // 10 ms total
-  EXPECT_EQ(doc.rows[1][0], "fast");
 }
 
 }  // namespace

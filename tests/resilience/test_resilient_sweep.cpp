@@ -367,7 +367,7 @@ TEST(ResilientSweepTest, PublishesResilienceMetrics) {
   grid.rhos = {0.3, 0.5, 0.7};
 
   obs::MetricsRegistry metrics;
-  obs::Context obs(nullptr, &metrics, nullptr);
+  obs::Context obs(nullptr, &metrics);
   par::SweepOptions options;
   options.observer = &obs;
   options.contract.max_retries = 2;

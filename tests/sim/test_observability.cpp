@@ -73,8 +73,7 @@ TEST(Observability, ResultsBitIdenticalWithAndWithoutObserver) {
 
   CaptureSink sink;
   obs::MetricsRegistry metrics;
-  obs::Profiler profiler;
-  obs::Context context(&sink, &metrics, &profiler);
+  obs::Context context(&sink, &metrics);
   const SimulationResult observed = run_once(&context);
 
   // Exact equality, not tolerance: instrumentation only reads state.
@@ -89,12 +88,11 @@ TEST(Observability, ResultsBitIdenticalWithAndWithoutObserver) {
 
   EXPECT_FALSE(sink.events.empty());
   EXPECT_FALSE(metrics.empty());
-  EXPECT_FALSE(profiler.empty());
 }
 
 TEST(Observability, SpansBalanceAndNest) {
   CaptureSink sink;
-  obs::Context context(&sink, nullptr, nullptr);
+  obs::Context context(&sink, nullptr);
   run_once(&context);
 
   std::map<std::string, int> open_by_name;
@@ -117,7 +115,7 @@ TEST(Observability, SpansBalanceAndNest) {
 
 TEST(Observability, EventTimesAreMonotonic) {
   CaptureSink sink;
-  obs::Context context(&sink, nullptr, nullptr);
+  obs::Context context(&sink, nullptr);
   const SimulationResult result = run_once(&context);
 
   Seconds previous{0.0};
@@ -131,7 +129,7 @@ TEST(Observability, EventTimesAreMonotonic) {
 
 TEST(Observability, MetricsAgreeWithResult) {
   obs::MetricsRegistry metrics;
-  obs::Context context(nullptr, &metrics, nullptr);
+  obs::Context context(nullptr, &metrics);
   const SimulationResult result = run_once(&context);
 
   EXPECT_DOUBLE_EQ(metrics.counter("sim.slots").total(),
@@ -175,7 +173,7 @@ TEST(Observability, TimedSimulatorEmitsBalancedSpans) {
 
   CaptureSink sink;
   obs::MetricsRegistry metrics;
-  obs::Context context(&sink, &metrics, nullptr);
+  obs::Context context(&sink, &metrics);
   TimedOptions options;
   options.timestep = Seconds(0.05);
   options.initial_storage = Coulomb(1.0);
