@@ -56,11 +56,17 @@ JournalRecord make_record(std::size_t k, const par::SweepPoint& point) {
   return record;
 }
 
+/// Bit pattern of a double: -0.0 and 0.0 differ, as they do in the
+/// journal.
+std::uint64_t bits(double value) {
+  return std::bit_cast<std::uint64_t>(value);
+}
+
 void expect_same_record(const JournalRecord& a, const JournalRecord& b) {
   EXPECT_EQ(a.index, b.index);
   EXPECT_EQ(a.point.policy, b.point.policy);
-  EXPECT_EQ(a.point.rho, b.point.rho);
-  EXPECT_EQ(a.point.capacity.value(), b.point.capacity.value());
+  EXPECT_EQ(bits(a.point.rho), bits(b.point.rho));
+  EXPECT_EQ(bits(a.point.capacity.value()), bits(b.point.capacity.value()));
   EXPECT_EQ(a.point.storm_seed, b.point.storm_seed);
   EXPECT_EQ(a.attempts, b.attempts);
   ASSERT_EQ(a.ok, b.ok);
@@ -72,25 +78,30 @@ void expect_same_record(const JournalRecord& a, const JournalRecord& b) {
   EXPECT_EQ(a.result.trace_name, b.result.trace_name);
   EXPECT_EQ(a.result.dpm_policy, b.result.dpm_policy);
   EXPECT_EQ(a.result.fc_policy, b.result.fc_policy);
-  EXPECT_EQ(a.result.totals.fuel.value(), b.result.totals.fuel.value());
-  EXPECT_EQ(a.result.totals.delivered_energy.value(),
-            b.result.totals.delivered_energy.value());
-  EXPECT_EQ(a.result.totals.load_energy.value(),
-            b.result.totals.load_energy.value());
-  EXPECT_EQ(a.result.totals.bled.value(), b.result.totals.bled.value());
-  EXPECT_EQ(a.result.totals.unserved.value(),
-            b.result.totals.unserved.value());
-  EXPECT_EQ(a.result.totals.duration.value(),
-            b.result.totals.duration.value());
+  EXPECT_EQ(bits(a.result.totals.fuel.value()),
+            bits(b.result.totals.fuel.value()));
+  EXPECT_EQ(bits(a.result.totals.delivered_energy.value()),
+            bits(b.result.totals.delivered_energy.value()));
+  EXPECT_EQ(bits(a.result.totals.load_energy.value()),
+            bits(b.result.totals.load_energy.value()));
+  EXPECT_EQ(bits(a.result.totals.bled.value()),
+            bits(b.result.totals.bled.value()));
+  EXPECT_EQ(bits(a.result.totals.unserved.value()),
+            bits(b.result.totals.unserved.value()));
+  EXPECT_EQ(bits(a.result.totals.duration.value()),
+            bits(b.result.totals.duration.value()));
   EXPECT_EQ(a.result.slots, b.result.slots);
   EXPECT_EQ(a.result.sleeps, b.result.sleeps);
-  EXPECT_EQ(a.result.latency_added.value(),
-            b.result.latency_added.value());
-  EXPECT_EQ(a.result.storage_initial.value(),
-            b.result.storage_initial.value());
-  EXPECT_EQ(a.result.storage_end.value(), b.result.storage_end.value());
-  EXPECT_EQ(a.result.storage_min.value(), b.result.storage_min.value());
-  EXPECT_EQ(a.result.storage_max.value(), b.result.storage_max.value());
+  EXPECT_EQ(bits(a.result.latency_added.value()),
+            bits(b.result.latency_added.value()));
+  EXPECT_EQ(bits(a.result.storage_initial.value()),
+            bits(b.result.storage_initial.value()));
+  EXPECT_EQ(bits(a.result.storage_end.value()),
+            bits(b.result.storage_end.value()));
+  EXPECT_EQ(bits(a.result.storage_min.value()),
+            bits(b.result.storage_min.value()));
+  EXPECT_EQ(bits(a.result.storage_max.value()),
+            bits(b.result.storage_max.value()));
   EXPECT_EQ(a.point.stacks, b.point.stacks);
   EXPECT_EQ(a.point.distribution, b.point.distribution);
   ASSERT_EQ(a.result.stacks.has_value(), b.result.stacks.has_value());
@@ -100,12 +111,10 @@ void expect_same_record(const JournalRecord& a, const JournalRecord& b) {
     EXPECT_EQ(sa.distribution, sb.distribution);
     ASSERT_EQ(sa.stacks.size(), sb.stacks.size());
     for (std::size_t j = 0; j < sa.stacks.size(); ++j) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(sa.stacks[j].fuel_as),
-                std::bit_cast<std::uint64_t>(sb.stacks[j].fuel_as));
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(sa.stacks[j].delivered_as),
-                std::bit_cast<std::uint64_t>(sb.stacks[j].delivered_as));
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(sa.stacks[j].wear),
-                std::bit_cast<std::uint64_t>(sb.stacks[j].wear));
+      EXPECT_EQ(bits(sa.stacks[j].fuel_as), bits(sb.stacks[j].fuel_as));
+      EXPECT_EQ(bits(sa.stacks[j].delivered_as),
+                bits(sb.stacks[j].delivered_as));
+      EXPECT_EQ(bits(sa.stacks[j].wear), bits(sb.stacks[j].wear));
       EXPECT_EQ(sa.stacks[j].startups, sb.stacks[j].startups);
     }
   }
@@ -118,12 +127,12 @@ void expect_same_record(const JournalRecord& a, const JournalRecord& b) {
     EXPECT_EQ(ca.level_reductions, cb.level_reductions);
     EXPECT_EQ(ca.level_restorations, cb.level_restorations);
     EXPECT_EQ(ca.budget_violations, cb.budget_violations);
-    EXPECT_EQ(ca.energy_deferred.value(), cb.energy_deferred.value());
-    EXPECT_EQ(ca.time_deferred.value(), cb.time_deferred.value());
+    EXPECT_EQ(bits(ca.energy_deferred.value()),
+              bits(cb.energy_deferred.value()));
+    EXPECT_EQ(bits(ca.time_deferred.value()), bits(cb.time_deferred.value()));
     ASSERT_EQ(ca.time_at_level_s.size(), cb.time_at_level_s.size());
     for (std::size_t j = 0; j < ca.time_at_level_s.size(); ++j) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(ca.time_at_level_s[j]),
-                std::bit_cast<std::uint64_t>(cb.time_at_level_s[j]));
+      EXPECT_EQ(bits(ca.time_at_level_s[j]), bits(cb.time_at_level_s[j]));
     }
   }
   ASSERT_EQ(a.result.audit.has_value(), b.result.audit.has_value());
@@ -636,6 +645,123 @@ TEST(GridFingerprintTest, SensitiveToConfigPointsAndStormSize) {
   audit_inert.audit.sample_period = 5;  // inert while mode is Off
   audit_inert.audit.tamper_slot = 3;
   EXPECT_EQ(grid_fingerprint(audit_inert, points, 12), reference);
+}
+
+
+// --- golden bytes -----------------------------------------------------------
+// tests/resilience/data/journal_golden.fcj pins the encoded bytes of one
+// record per shape. On a mismatch the test writes what it encoded to
+// journal_golden.actual.fcj in its working directory; after a
+// deliberate format change, review that file and copy it over the
+// fixture.
+
+std::vector<JournalRecord> golden_records() {
+  par::SweepPoint point;
+  point.policy = sim::PolicyKind::FcDpm;
+  point.rho = 0.5;
+  point.capacity = Coulomb(6.0);
+  std::vector<JournalRecord> records;
+
+  records.push_back(make_record(0, point));  // plain ok record
+
+  JournalRecord failed = make_record(1, point);
+  failed.ok = false;
+  failed.attempts = 3;
+  failed.error = {PointErrorKind::solver_diverged,
+                  "no root in [0, 1]: \"bisect\"\n\tslot\\7 \x01"};
+  records.push_back(failed);
+
+  JournalRecord stack_point = make_record(2, point);
+  stack_point.point.stacks = 2;
+  stack_point.point.distribution = stacks::Distribution::Waterfill;
+  records.push_back(stack_point);
+
+  JournalRecord capped = make_record(3, point);
+  cap::CapStats cap;
+  cap.slots_seen = 112;
+  cap.slots_capped = 51;
+  cap.level_reductions = 3;
+  cap.level_restorations = 2;
+  cap.energy_deferred = Joule(1.0 / 3.0);
+  cap.time_deferred = Seconds(1e-300);
+  cap.time_at_level_s = {-0.0, 5e-324, 0.1 + 0.2};
+  capped.result.cap = cap;
+  records.push_back(capped);
+
+  JournalRecord stacked = make_record(4, point);
+  stacks::StacksStats fleet;
+  fleet.distribution = stacks::Distribution::Health;
+  fleet.stacks = {{1.0 / 3.0, 5e-324, 7, 0.1 + 0.2},
+                  {-0.0, 3.141592653589793, 0, 0.0},
+                  {42.0, 1e300, 12, 2.2250738585072014e-308}};
+  stacked.result.stacks = fleet;
+  records.push_back(stacked);
+
+  JournalRecord violated = make_record(5, point);
+  audit::AuditStats audit;
+  audit.mode = 2;
+  audit.slots_audited = 95;
+  audit.segments_audited = 241;
+  audit.checks_run = 1023;
+  audit.violations = 3;
+  audit.fuel_violations = 1;
+  audit.storage_violations = 1;
+  audit.stacks_violations = 1;
+  audit.engine_fallbacks = 1;
+  audit.first_violation_slot = 40;
+  audit.first_violation = "delivered \"integral\"\n";
+  violated.result.audit = audit;
+  records.push_back(violated);
+
+  JournalRecord clean = make_record(6, point);
+  audit::AuditStats clean_audit;
+  clean_audit.mode = 1;
+  clean_audit.slots_audited = 7;
+  clean_audit.segments_audited = 28;
+  clean_audit.checks_run = 86;
+  clean.result.audit = clean_audit;
+  records.push_back(clean);
+  return records;
+}
+
+TEST(JournalGolden, EncodesEveryBlockByteForByte) {
+  const std::vector<JournalRecord> records = golden_records();
+  const std::string path = temp_path("golden.fcj");
+  {
+    Journal journal =
+        Journal::create(path, {"golden", records.size(), 0x601d3fcull});
+    journal.append(records);
+  }
+  const std::string encoded = read_file(path);
+  const std::string fixture = read_file(FCDPM_JOURNAL_GOLDEN);
+  if (encoded != fixture) {
+    write_file("journal_golden.actual.fcj", encoded);
+    ADD_FAILURE() << "encoded journal differs from " << FCDPM_JOURNAL_GOLDEN
+                  << "; what was encoded is in journal_golden.actual.fcj";
+  }
+
+  // Each fixture line after the header is "R <len> <sum> <payload>".
+  std::vector<std::string> lines;
+  for (std::size_t pos = 0; pos < fixture.size();) {
+    const std::size_t end = fixture.find('\n', pos);
+    lines.push_back(fixture.substr(pos, end - pos));
+    pos = end == std::string::npos ? fixture.size() : end + 1;
+  }
+  ASSERT_EQ(lines.size(), records.size() + 1);
+  for (std::size_t k = 0; k < records.size(); ++k) {
+    SCOPED_TRACE(testing::Message() << "record=" << k);
+    ASSERT_GT(lines[k + 1].size(), 28u);
+    EXPECT_EQ(record_to_json(records[k]), lines[k + 1].substr(28));
+  }
+
+  const JournalLoad load = load_journal(FCDPM_JOURNAL_GOLDEN);
+  EXPECT_FALSE(load.torn_tail);
+  ASSERT_EQ(load.records.size(), records.size());
+  for (std::size_t k = 0; k < records.size(); ++k) {
+    SCOPED_TRACE(testing::Message() << "record=" << k);
+    expect_same_record(load.records[k], records[k]);
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace
