@@ -455,79 +455,6 @@ bool same_point(const SweepPoint& a, const SweepPoint& b) noexcept {
          a.distribution == b.distribution;
 }
 
-/// Bitwise equality over the journaled cap-governor block (absent on
-/// cap-off runs; both sides must agree it is absent).
-bool same_cap(const std::optional<cap::CapStats>& a,
-              const std::optional<cap::CapStats>& b) {
-  if (a.has_value() != b.has_value()) {
-    return false;
-  }
-  if (!a.has_value()) {
-    return true;
-  }
-  if (a->slots_seen != b->slots_seen ||
-      a->slots_capped != b->slots_capped ||
-      a->level_reductions != b->level_reductions ||
-      a->level_restorations != b->level_restorations ||
-      a->budget_violations != b->budget_violations ||
-      !same_bits(a->energy_deferred.value(), b->energy_deferred.value()) ||
-      !same_bits(a->time_deferred.value(), b->time_deferred.value()) ||
-      a->time_at_level_s.size() != b->time_at_level_s.size()) {
-    return false;
-  }
-  for (std::size_t k = 0; k < a->time_at_level_s.size(); ++k) {
-    if (!same_bits(a->time_at_level_s[k], b->time_at_level_s[k])) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Equality over the journaled audit block (absent on audit-off runs;
-/// both sides must agree it is absent). Counters are exact integers,
-/// so this is also bitwise.
-bool same_audit(const std::optional<audit::AuditStats>& a,
-                const std::optional<audit::AuditStats>& b) {
-  if (a.has_value() != b.has_value()) {
-    return false;
-  }
-  if (!a.has_value()) {
-    return true;
-  }
-  return a->mode == b->mode && a->slots_audited == b->slots_audited &&
-         a->segments_audited == b->segments_audited &&
-         a->checks_run == b->checks_run && a->violations == b->violations &&
-         a->fuel_violations == b->fuel_violations &&
-         a->storage_violations == b->storage_violations &&
-         a->cap_violations == b->cap_violations &&
-         a->stacks_violations == b->stacks_violations &&
-         a->engine_fallbacks == b->engine_fallbacks &&
-         a->first_violation_slot == b->first_violation_slot &&
-         a->first_violation == b->first_violation;
-}
-
-/// Bitwise equality over every observable (journaled) result field.
-bool same_observable(const sim::SimulationResult& a,
-                     const sim::SimulationResult& b) {
-  return a.trace_name == b.trace_name && a.dpm_policy == b.dpm_policy &&
-         a.fc_policy == b.fc_policy &&
-         same_bits(a.totals.fuel.value(), b.totals.fuel.value()) &&
-         same_bits(a.totals.delivered_energy.value(),
-                   b.totals.delivered_energy.value()) &&
-         same_bits(a.totals.load_energy.value(),
-                   b.totals.load_energy.value()) &&
-         same_bits(a.totals.bled.value(), b.totals.bled.value()) &&
-         same_bits(a.totals.unserved.value(), b.totals.unserved.value()) &&
-         same_bits(a.totals.duration.value(), b.totals.duration.value()) &&
-         a.slots == b.slots && a.sleeps == b.sleeps &&
-         same_bits(a.latency_added.value(), b.latency_added.value()) &&
-         same_bits(a.storage_initial.value(), b.storage_initial.value()) &&
-         same_bits(a.storage_end.value(), b.storage_end.value()) &&
-         same_bits(a.storage_min.value(), b.storage_min.value()) &&
-         same_bits(a.storage_max.value(), b.storage_max.value()) &&
-         same_cap(a.cap, b.cap) && same_audit(a.audit, b.audit);
-}
-
 // Resume: load the journal, check its fingerprint, splice every record
 // into its grid slot, then re-simulate a deterministic sample of the
 // replayed points and hold the journal to bit-identity — that catches
@@ -584,7 +511,8 @@ std::size_t replay_journal(const sim::ExperimentConfig& base,
         replayed_ok[c * replayed_ok.size() / checks];  // evenly spaced
     const SweepPointResult fresh =
         run_point(base, points[k], grid.storm_faults, nullptr, 0, compiled);
-    if (!same_observable(fresh.result, out.points[k].result)) {
+    if (!resilience::same_observable(fresh.result,
+                                     out.points[k].result)) {
       throw CsvError("journal spot-check failed at grid point " +
                      std::to_string(k) +
                      ": replayed result is not bit-identical to "

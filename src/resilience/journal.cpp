@@ -1,15 +1,21 @@
 #include "resilience/journal.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
+#include <concepts>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include <fcntl.h>
@@ -20,6 +26,7 @@
 #include "common/atomic_file.hpp"
 #include "common/csv.hpp"
 #include "obs/trace_sink.hpp"
+#include "stacks/multi_stack.hpp"
 
 namespace fcdpm::resilience {
 
@@ -233,60 +240,326 @@ class FlatJsonParser {
   std::size_t pos_ = 0;
 };
 
-class FieldMap {
- public:
-  explicit FieldMap(const JsonObject& object) : object_(object) {}
+/// A whole token as a double (hexfloat or decimal), nothing after it.
+bool parse_number(const std::string& text, double& out) {
+  char* end = nullptr;
+  out = std::strtod(text.c_str(), &end);
+  return end != text.c_str() && *end == '\0';
+}
 
-  [[nodiscard]] const JsonField* find(std::string_view key) const {
-    for (const auto& [name, field] : object_) {
-      if (name == key) {
-        return &field;
-      }
-    }
-    return nullptr;
-  }
+// --- journaled result fields ------------------------------------------------
+// Each journaled result block declares its fields once, in one of the
+// for_each_field lists below: the journal key and the member. The
+// encoder (FieldWriter), the decoder (FieldReader) and same_observable
+// all walk these lists, so a field added to a list is written, read and
+// compared, and none of the three can fall behind. The member's type
+// picks the encoding:
+//   integer counters and enums  -> JSON integer
+//   double and unit types       -> hexfloat string (exact round-trip)
+//   std::string                 -> escaped string
+//   std::vector<double>         -> comma-joined hexfloats in a string
+//   the per-stack vector        -> its size; `column` comma-joins one
+//                                  member of every stack
+//   std::optional<block>        -> the block's fields, or none
+// An optional block and a `group` are all or nothing: a decoder that
+// finds any of their keys requires every one.
 
-  bool string(std::string_view key, std::string& out) const {
-    const JsonField* f = find(key);
-    if (f == nullptr || f->kind != JsonField::Kind::String) {
+template <typename B, typename Block>
+concept block_of = std::same_as<std::remove_const_t<B>, Block>;
+
+/// The power-cap governor's block (present iff a governor ran).
+template <block_of<cap::CapStats> C, typename F>
+void for_each_field(C& c, F& f) {
+  f("cap_slots", c.slots_seen);
+  f("cap_capped", c.slots_capped);
+  f("cap_reductions", c.level_reductions);
+  f("cap_restorations", c.level_restorations);
+  f("cap_violations", c.budget_violations);
+  f("cap_deferred_j", c.energy_deferred);
+  f("cap_deferred_s", c.time_deferred);
+  f("cap_levels", c.time_at_level_s);
+}
+
+/// Per-stack totals (present iff the run's source was multi-stack).
+template <block_of<stacks::StacksStats> S, typename F>
+void for_each_field(S& s, F& f) {
+  using stacks::StackTotals;
+  f("stk_n", s.stacks);
+  f("stk_dist", s.distribution);
+  f.column("stk_fuel", &StackTotals::fuel_as, s.stacks);
+  f.column("stk_delivered", &StackTotals::delivered_as, s.stacks);
+  f.column("stk_startups", &StackTotals::startups, s.stacks);
+  f.column("stk_wear", &StackTotals::wear, s.stacks);
+}
+
+/// The invariant auditor's block (present iff an auditor ran).
+template <block_of<audit::AuditStats> A, typename F>
+void for_each_field(A& a, F& f) {
+  f("aud_mode", a.mode);
+  f("aud_slots", a.slots_audited);
+  f("aud_segments", a.segments_audited);
+  f("aud_checks", a.checks_run);
+  f("aud_violations", a.violations);
+  f("aud_fuel", a.fuel_violations);
+  f("aud_storage", a.storage_violations);
+  f("aud_cap", a.cap_violations);
+  f("aud_stacks", a.stacks_violations);
+  f("aud_fallbacks", a.engine_fallbacks);
+  f.group(!a.first_violation.empty(), [&] {  // once a violation was seen
+    f("aud_first_slot", a.first_violation_slot);
+    f("aud_first", a.first_violation);
+  });
+}
+
+/// The result core, then the optional blocks. A run without a governor,
+/// stacks or auditor writes no block, so its journal stays
+/// byte-identical to builds that predate the block.
+template <block_of<sim::SimulationResult> R, typename F>
+void for_each_field(R& r, F& f) {
+  f("trace", r.trace_name);
+  f("dpm", r.dpm_policy);
+  f("fc", r.fc_policy);
+  f("fuel", r.totals.fuel);
+  f("delivered_j", r.totals.delivered_energy);
+  f("load_j", r.totals.load_energy);
+  f("bled", r.totals.bled);
+  f("unserved", r.totals.unserved);
+  f("duration", r.totals.duration);
+  f("slots", r.slots);
+  f("sleeps", r.sleeps);
+  f("latency", r.latency_added);
+  f("storage_initial", r.storage_initial);
+  f("storage_end", r.storage_end);
+  f("storage_min", r.storage_min);
+  f("storage_max", r.storage_max);
+  f(r.cap);
+  f(r.stacks);
+  f(r.audit);
+}
+
+template <typename T>
+concept integer_field = std::is_integral_v<T> || std::is_enum_v<T>;
+
+/// The integer type an integer field is written as.
+template <integer_field T>
+using integer_t = typename std::conditional_t<std::is_enum_v<T>,
+                                              std::underlying_type<T>,
+                                              std::type_identity<T>>::type;
+
+bool parse_list_item(std::string_view item, double& out) {
+  return parse_number(std::string(item), out) && std::isfinite(out);
+}
+bool parse_list_item(std::string_view item, std::size_t& out) {
+  const char* end = item.data() + item.size();
+  const auto [stop, error] = std::from_chars(item.data(), end, out);
+  return !item.empty() && error == std::errc() && stop == end;
+}
+
+/// Calls `item` on each entry of a comma-joined list; false as soon as
+/// one call is.
+template <typename Item>
+bool for_each_item(std::string_view list, Item&& item) {
+  for (std::size_t pos = 0; pos < list.size();) {
+    const std::size_t comma = std::min(list.find(',', pos), list.size());
+    if (!item(list.substr(pos, comma - pos))) {
       return false;
     }
-    out = f->text;
-    return true;
+    pos = comma + 1;
   }
+  return true;
+}
 
-  bool integer(std::string_view key, std::uint64_t& out) const {
-    const JsonField* f = find(key);
-    if (f == nullptr || f->kind != JsonField::Kind::Integer) {
-      return false;
+/// Appends `"key":value` pairs to a JSON object under construction. In
+/// `exact` mode it writes what same_observable compares instead: every
+/// double as its bit pattern and every group whether or not it is set.
+struct FieldWriter {
+  std::string& out;
+  bool exact = false;
+
+  void put(std::string_view key, const std::string& value, bool quoted) {
+    out += out.back() == '{' ? "\"" : ",\"";
+    out += key;
+    out += "\":";
+    out += quoted ? '"' + value + '"' : value;
+  }
+  std::string text(double value) const {
+    return exact ? to_hex(std::bit_cast<std::uint64_t>(value), 16)
+                 : hex_double(value);
+  }
+  std::string text(std::size_t value) const { return std::to_string(value); }
+  template <typename Item>
+  void list(std::string_view key, std::size_t n, Item&& item) {
+    std::string joined;
+    for (std::size_t i = 0; i < n; ++i) {
+      joined += (i == 0 ? "" : ",") + text(item(i));
     }
-    out = f->integer;
-    return true;
+    put(key, joined, true);  // list items never need escaping
   }
 
-  bool boolean(std::string_view key, bool& out) const {
-    const JsonField* f = find(key);
-    if (f == nullptr || f->kind != JsonField::Kind::Bool) {
-      return false;
+  void operator()(std::string_view key, const std::string& value) {
+    put(key, obs::json_escape(value.c_str()), true);
+  }
+  void operator()(std::string_view key, bool value) {
+    put(key, value ? "true" : "false", false);
+  }
+  template <integer_field T>
+  void operator()(std::string_view key, T value) {
+    put(key, std::to_string(static_cast<integer_t<T>>(value)), false);
+  }
+  void operator()(std::string_view key, double value) {
+    put(key, text(value), true);
+  }
+  template <typename Tag>
+  void operator()(std::string_view key, detail::Quantity<Tag> value) {
+    (*this)(key, value.value());
+  }
+  void operator()(std::string_view key, const std::vector<double>& values) {
+    list(key, values.size(), [&](std::size_t i) { return values[i]; });
+  }
+  void operator()(std::string_view key,
+                  const std::vector<stacks::StackTotals>& stacks) {
+    (*this)(key, stacks.size());
+  }
+  template <typename M>
+  void column(std::string_view key, M stacks::StackTotals::*member,
+              const std::vector<stacks::StackTotals>& stacks) {
+    list(key, stacks.size(), [&](std::size_t i) { return stacks[i].*member; });
+  }
+  template <typename B>
+  void operator()(const std::optional<B>& block) {
+    if (block.has_value()) {
+      for_each_field(*block, *this);
     }
-    out = f->boolean;
-    return true;
   }
-
-  /// Hexfloat-in-string double.
-  bool number(std::string_view key, double& out) const {
-    std::string text;
-    if (!string(key, text)) {
-      return false;
+  template <typename Body>
+  void group(bool present, Body&& body) {
+    if (present || exact) {
+      body();
     }
-    char* end = nullptr;
-    out = std::strtod(text.c_str(), &end);
-    return end != nullptr && *end == '\0' && end != text.c_str();
   }
-
- private:
-  const JsonObject& object_;
 };
+
+/// Range and shape checks a decoded block must pass beyond its types.
+bool valid(const cap::CapStats& /*stats*/) { return true; }
+bool valid(const stacks::StacksStats& stats) {
+  return !stats.stacks.empty() &&
+         stats.distribution <= stacks::Distribution::Health;
+}
+bool valid(const audit::AuditStats& stats) {
+  return stats.mode <= static_cast<int>(audit::Mode::Strict);
+}
+
+/// Fills members from a parsed JSON object. A missing key is counted
+/// rather than failed, so a group can tell absent from partial; a
+/// present key whose value does not fit its member clears `ok`.
+struct FieldReader {
+  const JsonObject& object;
+  std::size_t payload_bytes;  ///< bounds a decoded stack count
+  bool ok = true;
+  std::size_t found = 0;
+  std::size_t missing = 0;
+
+  /// The key's field if it has `kind`; counts the key found or missing.
+  const JsonField* take(std::string_view key, JsonField::Kind kind) {
+    const auto it =
+        std::ranges::find(object, key, &JsonObject::value_type::first);
+    const bool present = it != object.end();
+    ++(present ? found : missing);
+    ok = ok && (!present || it->second.kind == kind);
+    return ok && present ? &it->second : nullptr;
+  }
+
+  void operator()(std::string_view key, std::string& value) {
+    if (const JsonField* f = take(key, JsonField::Kind::String)) {
+      value = f->text;
+    }
+  }
+  void operator()(std::string_view key, bool& value) {
+    if (const JsonField* f = take(key, JsonField::Kind::Bool)) {
+      value = f->boolean;
+    }
+  }
+  template <integer_field T>
+  void operator()(std::string_view key, T& value) {
+    using Int = integer_t<T>;
+    if (const JsonField* f = take(key, JsonField::Kind::Integer)) {
+      ok = f->integer <=
+           static_cast<std::uint64_t>(std::numeric_limits<Int>::max());
+      value = static_cast<T>(static_cast<Int>(f->integer));
+    }
+  }
+  void operator()(std::string_view key, double& value) {
+    if (const JsonField* f = take(key, JsonField::Kind::String)) {
+      ok = parse_number(f->text, value);
+    }
+  }
+  template <typename Tag>
+  void operator()(std::string_view key, detail::Quantity<Tag>& value) {
+    double raw = value.value();
+    (*this)(key, raw);
+    value = detail::Quantity<Tag>(raw);
+  }
+  void operator()(std::string_view key, std::vector<double>& values) {
+    if (const JsonField* f = take(key, JsonField::Kind::String)) {
+      ok = for_each_item(f->text, [&](std::string_view item) {
+        return parse_list_item(item, values.emplace_back());
+      });
+    }
+  }
+  void operator()(std::string_view key,
+                  std::vector<stacks::StackTotals>& stacks) {
+    std::size_t count = 0;
+    (*this)(key, count);
+    // Every stack takes a byte of each column, so a count the payload
+    // cannot hold is corrupt; checking first keeps the resize bounded.
+    ok = ok && count <= payload_bytes;
+    stacks.resize(ok ? count : 0);
+  }
+  template <typename M>
+  void column(std::string_view key, M stacks::StackTotals::*member,
+              std::vector<stacks::StackTotals>& stacks) {
+    if (const JsonField* f = take(key, JsonField::Kind::String)) {
+      std::size_t i = 0;
+      ok = for_each_item(f->text,
+                         [&](std::string_view item) {
+                           return i < stacks.size() &&
+                                  parse_list_item(item, stacks[i++].*member);
+                         }) &&
+           i == stacks.size();
+    }
+  }
+  template <typename B>
+  void operator()(std::optional<B>& block) {
+    B value;
+    if (group(true, [&] { for_each_field(value, *this); })) {
+      ok = ok && valid(value);
+      block = std::move(value);
+    }
+  }
+  /// Reads `body` as one all-or-nothing group; true if any of its keys
+  /// was found.
+  template <typename Body>
+  bool group(bool /*written*/, Body&& body) {
+    const std::size_t outer_found = found;
+    const std::size_t outer_missing = missing;
+    found = 0;
+    missing = 0;
+    body();
+    const bool present = found > 0;
+    ok = ok && (!present || missing == 0);
+    found += outer_found;
+    missing = outer_missing;
+    return present;
+  }
+};
+
+/// What same_observable compares: the exact-mode encoding.
+std::string observable_bytes(const sim::SimulationResult& result) {
+  std::string out = "{";
+  FieldWriter exact{out, true};
+  for_each_field(result, exact);
+  return out;
+}
 
 void hash_double(std::uint64_t& hash, double value) {
   const std::uint64_t bits = std::bit_cast<std::uint64_t>(value);
@@ -304,12 +577,13 @@ void hash_u64(std::uint64_t& hash, std::uint64_t value) {
 }
 
 std::string header_to_json(const JournalHeader& header) {
-  std::string out = "{\"fcdpm_journal\":1";
-  out += ",\"trace\":\"" + obs::json_escape(header.trace_name.c_str()) + "\"";
-  out += ",\"points\":" + std::to_string(header.points);
-  out += ",\"fingerprint\":\"" + to_hex(header.fingerprint, 16) + "\"";
-  out += "}";
-  return out;
+  std::string out = "{";
+  FieldWriter json{out};
+  json("fcdpm_journal", 1);
+  json("trace", header.trace_name);
+  json("points", header.points);
+  json("fingerprint", to_hex(header.fingerprint, 16));
+  return out + "}";
 }
 
 [[noreturn]] void fail(const std::string& what, const std::string& path) {
@@ -381,392 +655,96 @@ std::uint64_t grid_fingerprint(const sim::ExperimentConfig& base,
 
 std::string record_to_json(const JournalRecord& record) {
   std::string out = "{";
-  out += "\"index\":" + std::to_string(record.index);
-  out += ",\"policy\":" +
-         std::to_string(static_cast<int>(record.point.policy));
-  out += ",\"rho\":\"" + hex_double(record.point.rho) + "\"";
-  out += ",\"capacity\":\"" + hex_double(record.point.capacity.value()) +
-         "\"";
-  out += ",\"seed\":" + std::to_string(record.point.storm_seed);
+  FieldWriter json{out};
+  json("index", record.index);
+  json("policy", record.point.policy);
+  json("rho", record.point.rho);
+  json("capacity", record.point.capacity);
+  json("seed", record.point.storm_seed);
   if (record.point.stacks > 0) {
     // Multi-stack point coordinates, serialized only on stack points so
     // single-stack journals stay byte-identical to pre-stacks builds.
-    out += ",\"stacks\":" + std::to_string(record.point.stacks);
-    out += ",\"dist\":" +
-           std::to_string(static_cast<int>(record.point.distribution));
+    json("stacks", record.point.stacks);
+    json("dist", record.point.distribution);
   }
-  out += ",\"attempts\":" + std::to_string(record.attempts);
-  out += ",\"ok\":";
-  out += record.ok ? "true" : "false";
-  if (!record.ok) {
-    out += ",\"error_kind\":\"";
-    out += to_string(record.error.kind);
-    out += "\",\"error_detail\":\"" +
-           obs::json_escape(record.error.detail.c_str()) + "\"";
-    out += "}";
-    return out;
+  json("attempts", record.attempts);
+  json("ok", record.ok);
+  if (record.ok) {
+    for_each_field(record.result, json);
+  } else {
+    json("error_kind", std::string(to_string(record.error.kind)));
+    json("error_detail", record.error.detail);
   }
-  const sim::SimulationResult& r = record.result;
-  out += ",\"trace\":\"" + obs::json_escape(r.trace_name.c_str()) + "\"";
-  out += ",\"dpm\":\"" + obs::json_escape(r.dpm_policy.c_str()) + "\"";
-  out += ",\"fc\":\"" + obs::json_escape(r.fc_policy.c_str()) + "\"";
-  out += ",\"fuel\":\"" + hex_double(r.totals.fuel.value()) + "\"";
-  out += ",\"delivered_j\":\"" +
-         hex_double(r.totals.delivered_energy.value()) + "\"";
-  out += ",\"load_j\":\"" + hex_double(r.totals.load_energy.value()) + "\"";
-  out += ",\"bled\":\"" + hex_double(r.totals.bled.value()) + "\"";
-  out += ",\"unserved\":\"" + hex_double(r.totals.unserved.value()) + "\"";
-  out += ",\"duration\":\"" + hex_double(r.totals.duration.value()) + "\"";
-  out += ",\"slots\":" + std::to_string(r.slots);
-  out += ",\"sleeps\":" + std::to_string(r.sleeps);
-  out += ",\"latency\":\"" + hex_double(r.latency_added.value()) + "\"";
-  out += ",\"storage_initial\":\"" + hex_double(r.storage_initial.value()) +
-         "\"";
-  out += ",\"storage_end\":\"" + hex_double(r.storage_end.value()) + "\"";
-  out += ",\"storage_min\":\"" + hex_double(r.storage_min.value()) + "\"";
-  out += ",\"storage_max\":\"" + hex_double(r.storage_max.value()) + "\"";
-  if (r.cap.has_value()) {
-    // Cap block only when a governor ran: cap-off journals stay
-    // byte-identical to pre-cap builds.
-    const cap::CapStats& c = *r.cap;
-    out += ",\"cap_slots\":" + std::to_string(c.slots_seen);
-    out += ",\"cap_capped\":" + std::to_string(c.slots_capped);
-    out += ",\"cap_reductions\":" + std::to_string(c.level_reductions);
-    out += ",\"cap_restorations\":" + std::to_string(c.level_restorations);
-    out += ",\"cap_violations\":" + std::to_string(c.budget_violations);
-    out += ",\"cap_deferred_j\":\"" + hex_double(c.energy_deferred.value()) +
-           "\"";
-    out += ",\"cap_deferred_s\":\"" + hex_double(c.time_deferred.value()) +
-           "\"";
-    std::string levels;
-    for (const double seconds : c.time_at_level_s) {
-      if (!levels.empty()) {
-        levels += ',';
-      }
-      levels += hex_double(seconds);  // hexfloats never need escaping
-    }
-    out += ",\"cap_levels\":\"" + levels + "\"";
-  }
-  if (r.stacks.has_value()) {
-    // Stacks block only when the run's source was multi-stack:
-    // single-stack journals stay byte-identical to pre-stacks builds.
-    const stacks::StacksStats& s = *r.stacks;
-    out += ",\"stk_n\":" + std::to_string(s.stacks.size());
-    out += ",\"stk_dist\":" +
-           std::to_string(static_cast<int>(s.distribution));
-    std::string fuel_list;
-    std::string delivered_list;
-    std::string startups_list;
-    std::string wear_list;
-    for (const stacks::StackTotals& t : s.stacks) {
-      if (!fuel_list.empty()) {
-        fuel_list += ',';
-        delivered_list += ',';
-        startups_list += ',';
-        wear_list += ',';
-      }
-      fuel_list += hex_double(t.fuel_as);  // hexfloats never need escaping
-      delivered_list += hex_double(t.delivered_as);
-      startups_list += std::to_string(t.startups);
-      wear_list += hex_double(t.wear);
-    }
-    out += ",\"stk_fuel\":\"" + fuel_list + "\"";
-    out += ",\"stk_delivered\":\"" + delivered_list + "\"";
-    out += ",\"stk_startups\":\"" + startups_list + "\"";
-    out += ",\"stk_wear\":\"" + wear_list + "\"";
-  }
-  if (r.audit.has_value()) {
-    // Audit block only when an auditor ran: audit-off journals stay
-    // byte-identical to pre-audit builds.
-    const audit::AuditStats& a = *r.audit;
-    out += ",\"aud_mode\":" + std::to_string(a.mode);
-    out += ",\"aud_slots\":" + std::to_string(a.slots_audited);
-    out += ",\"aud_segments\":" + std::to_string(a.segments_audited);
-    out += ",\"aud_checks\":" + std::to_string(a.checks_run);
-    out += ",\"aud_violations\":" + std::to_string(a.violations);
-    out += ",\"aud_fuel\":" + std::to_string(a.fuel_violations);
-    out += ",\"aud_storage\":" + std::to_string(a.storage_violations);
-    out += ",\"aud_cap\":" + std::to_string(a.cap_violations);
-    out += ",\"aud_stacks\":" + std::to_string(a.stacks_violations);
-    out += ",\"aud_fallbacks\":" + std::to_string(a.engine_fallbacks);
-    if (!a.first_violation.empty()) {
-      out += ",\"aud_first_slot\":" +
-             std::to_string(a.first_violation_slot);
-      out += ",\"aud_first\":\"" +
-             obs::json_escape(a.first_violation.c_str()) + "\"";
-    }
-  }
-  out += "}";
-  return out;
+  return out + "}";
+}
+
+bool same_observable(const sim::SimulationResult& a,
+                     const sim::SimulationResult& b) {
+  return observable_bytes(a) == observable_bytes(b);
 }
 
 namespace {
 
 bool record_from_json(std::string_view payload, JournalRecord& record) {
   JsonObject object;
-  FlatJsonParser parser(payload);
-  if (!parser.parse(object)) {
+  if (!FlatJsonParser(payload).parse(object)) {
     return false;
   }
-  const FieldMap fields(object);
-
-  std::uint64_t index = 0;
-  std::uint64_t policy = 0;
-  std::uint64_t seed = 0;
-  std::uint64_t attempts = 1;
-  double rho = 0.0;
-  double capacity = 0.0;
-  if (!fields.integer("index", index) ||
-      !fields.integer("policy", policy) || !fields.number("rho", rho) ||
-      !fields.number("capacity", capacity) ||
-      !fields.integer("seed", seed) ||
-      !fields.integer("attempts", attempts) ||
-      !fields.boolean("ok", record.ok) || policy > 3) {
+  FieldReader json{object, payload.size()};
+  json("index", record.index);
+  json("policy", record.point.policy);
+  json("rho", record.point.rho);
+  json("capacity", record.point.capacity);
+  json("seed", record.point.storm_seed);
+  // Multi-stack point coordinates: absent on single-stack points.
+  const bool stack_point = json.group(true, [&] {
+    json("stacks", record.point.stacks);
+    json("dist", record.point.distribution);
+  });
+  json("attempts", record.attempts);
+  json("ok", record.ok);
+  std::string kind;
+  if (record.ok) {
+    for_each_field(record.result, json);
+  } else {
+    json("error_kind", kind);
+    json("error_detail", record.error.detail);
+  }
+  if (!json.ok || json.missing > 0 ||
+      record.point.policy > sim::PolicyKind::Oracle ||
+      (stack_point && record.point.stacks == 0) ||
+      record.point.distribution > stacks::Distribution::Health) {
     return false;
   }
-  record.index = static_cast<std::size_t>(index);
-  record.point.policy = static_cast<sim::PolicyKind>(policy);
-  record.point.rho = rho;
-  record.point.capacity = Coulomb(capacity);
-  record.point.storm_seed = seed;
-  record.attempts = static_cast<std::size_t>(attempts);
-
-  // Multi-stack point coordinates are optional (absent on single-stack
-  // points); when the marker is present both fields are required.
-  if (fields.find("stacks") != nullptr) {
-    std::uint64_t stack_count = 0;
-    std::uint64_t dist = 0;
-    if (!fields.integer("stacks", stack_count) ||
-        !fields.integer("dist", dist) || stack_count == 0 || dist > 2) {
-      return false;
-    }
-    record.point.stacks = static_cast<std::size_t>(stack_count);
-    record.point.distribution = static_cast<stacks::Distribution>(dist);
+  if (record.ok) {
+    return true;
   }
-
-  if (!record.ok) {
-    std::string kind;
-    if (!fields.string("error_kind", kind) ||
-        !fields.string("error_detail", record.error.detail)) {
-      return false;
-    }
-    for (const PointErrorKind candidate :
-         {PointErrorKind::solver_diverged, PointErrorKind::non_finite_result,
-          PointErrorKind::deadline_exceeded,
-          PointErrorKind::contract_violation, PointErrorKind::io_error,
-          PointErrorKind::power_undeliverable}) {
-      if (kind == to_string(candidate)) {
-        record.error.kind = candidate;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  sim::SimulationResult& r = record.result;
-  double fuel = 0.0;
-  double delivered = 0.0;
-  double load = 0.0;
-  double bled = 0.0;
-  double unserved = 0.0;
-  double duration = 0.0;
-  double latency = 0.0;
-  double s_initial = 0.0;
-  double s_end = 0.0;
-  double s_min = 0.0;
-  double s_max = 0.0;
-  std::uint64_t slots = 0;
-  std::uint64_t sleeps = 0;
-  if (!fields.string("trace", r.trace_name) ||
-      !fields.string("dpm", r.dpm_policy) ||
-      !fields.string("fc", r.fc_policy) || !fields.number("fuel", fuel) ||
-      !fields.number("delivered_j", delivered) ||
-      !fields.number("load_j", load) || !fields.number("bled", bled) ||
-      !fields.number("unserved", unserved) ||
-      !fields.number("duration", duration) ||
-      !fields.integer("slots", slots) ||
-      !fields.integer("sleeps", sleeps) ||
-      !fields.number("latency", latency) ||
-      !fields.number("storage_initial", s_initial) ||
-      !fields.number("storage_end", s_end) ||
-      !fields.number("storage_min", s_min) ||
-      !fields.number("storage_max", s_max)) {
-    return false;
-  }
-  r.totals.fuel = Coulomb(fuel);
-  r.totals.delivered_energy = Joule(delivered);
-  r.totals.load_energy = Joule(load);
-  r.totals.bled = Coulomb(bled);
-  r.totals.unserved = Coulomb(unserved);
-  r.totals.duration = Seconds(duration);
-  r.slots = static_cast<std::size_t>(slots);
-  r.sleeps = static_cast<std::size_t>(sleeps);
-  r.latency_added = Seconds(latency);
-  r.storage_initial = Coulomb(s_initial);
-  r.storage_end = Coulomb(s_end);
-  r.storage_min = Coulomb(s_min);
-  r.storage_max = Coulomb(s_max);
-
-  // Cap block is optional (absent on cap-off runs); when the marker
-  // field is present every cap field is required together.
-  if (fields.find("cap_slots") != nullptr) {
-    std::uint64_t cap_slots = 0;
-    std::uint64_t cap_capped = 0;
-    std::uint64_t cap_reductions = 0;
-    std::uint64_t cap_restorations = 0;
-    std::uint64_t cap_violations = 0;
-    double deferred_j = 0.0;
-    double deferred_s = 0.0;
-    std::string levels;
-    if (!fields.integer("cap_slots", cap_slots) ||
-        !fields.integer("cap_capped", cap_capped) ||
-        !fields.integer("cap_reductions", cap_reductions) ||
-        !fields.integer("cap_restorations", cap_restorations) ||
-        !fields.integer("cap_violations", cap_violations) ||
-        !fields.number("cap_deferred_j", deferred_j) ||
-        !fields.number("cap_deferred_s", deferred_s) ||
-        !fields.string("cap_levels", levels)) {
-      return false;
-    }
-    cap::CapStats stats;
-    stats.slots_seen = static_cast<std::size_t>(cap_slots);
-    stats.slots_capped = static_cast<std::size_t>(cap_capped);
-    stats.level_reductions = static_cast<std::size_t>(cap_reductions);
-    stats.level_restorations = static_cast<std::size_t>(cap_restorations);
-    stats.budget_violations = static_cast<std::size_t>(cap_violations);
-    stats.energy_deferred = Joule(deferred_j);
-    stats.time_deferred = Seconds(deferred_s);
-    std::size_t pos = 0;
-    while (pos < levels.size()) {
-      const std::size_t comma = levels.find(',', pos);
-      const std::string token = levels.substr(
-          pos, comma == std::string::npos ? std::string::npos : comma - pos);
-      char* end = nullptr;
-      const double seconds = std::strtod(token.c_str(), &end);
-      if (end == token.c_str() || *end != '\0' || !std::isfinite(seconds)) {
-        return false;
-      }
-      stats.time_at_level_s.push_back(seconds);
-      pos = comma == std::string::npos ? levels.size() : comma + 1;
-    }
-    r.cap = std::move(stats);
-  }
-
-  // Stacks block is optional (absent on single-stack runs); when the
-  // marker field is present every stacks field is required together.
-  if (fields.find("stk_n") != nullptr) {
-    std::uint64_t stack_count = 0;
-    std::uint64_t dist = 0;
-    std::string fuel_list;
-    std::string delivered_list;
-    std::string startups_list;
-    std::string wear_list;
-    if (!fields.integer("stk_n", stack_count) ||
-        !fields.integer("stk_dist", dist) ||
-        !fields.string("stk_fuel", fuel_list) ||
-        !fields.string("stk_delivered", delivered_list) ||
-        !fields.string("stk_startups", startups_list) ||
-        !fields.string("stk_wear", wear_list) || stack_count == 0 ||
-        dist > 2) {
-      return false;
-    }
-    const auto parse_doubles = [](const std::string& list,
-                                  std::vector<double>& out) {
-      std::size_t pos = 0;
-      while (pos < list.size()) {
-        const std::size_t comma = list.find(',', pos);
-        const std::string token = list.substr(
-            pos, comma == std::string::npos ? std::string::npos : comma - pos);
-        char* end = nullptr;
-        const double value = std::strtod(token.c_str(), &end);
-        if (end == token.c_str() || *end != '\0' || !std::isfinite(value)) {
-          return false;
-        }
-        out.push_back(value);
-        pos = comma == std::string::npos ? list.size() : comma + 1;
-      }
+  for (const PointErrorKind candidate :
+       {PointErrorKind::solver_diverged, PointErrorKind::non_finite_result,
+        PointErrorKind::deadline_exceeded, PointErrorKind::contract_violation,
+        PointErrorKind::io_error, PointErrorKind::power_undeliverable}) {
+    if (kind == to_string(candidate)) {
+      record.error.kind = candidate;
       return true;
-    };
-    std::vector<double> fuel_values;
-    std::vector<double> delivered_values;
-    std::vector<double> startup_values;
-    std::vector<double> wear_values;
-    if (!parse_doubles(fuel_list, fuel_values) ||
-        !parse_doubles(delivered_list, delivered_values) ||
-        !parse_doubles(startups_list, startup_values) ||
-        !parse_doubles(wear_list, wear_values) ||
-        fuel_values.size() != stack_count ||
-        delivered_values.size() != stack_count ||
-        startup_values.size() != stack_count ||
-        wear_values.size() != stack_count) {
-      return false;
     }
-    stacks::StacksStats stats;
-    stats.distribution = static_cast<stacks::Distribution>(dist);
-    stats.stacks.resize(stack_count);
-    for (std::size_t i = 0; i < stack_count; ++i) {
-      if (startup_values[i] < 0.0 ||
-          startup_values[i] != std::floor(startup_values[i])) {
-        return false;
-      }
-      stats.stacks[i].fuel_as = fuel_values[i];
-      stats.stacks[i].delivered_as = delivered_values[i];
-      stats.stacks[i].startups = static_cast<std::size_t>(startup_values[i]);
-      stats.stacks[i].wear = wear_values[i];
-    }
-    r.stacks = std::move(stats);
   }
-
-  // Audit block is optional (absent on audit-off runs); when the marker
-  // field is present every audit field is required together.
-  if (fields.find("aud_mode") != nullptr) {
-    std::uint64_t mode = 0;
-    audit::AuditStats stats;
-    if (!fields.integer("aud_mode", mode) || mode > 2 ||
-        !fields.integer("aud_slots", stats.slots_audited) ||
-        !fields.integer("aud_segments", stats.segments_audited) ||
-        !fields.integer("aud_checks", stats.checks_run) ||
-        !fields.integer("aud_violations", stats.violations) ||
-        !fields.integer("aud_fuel", stats.fuel_violations) ||
-        !fields.integer("aud_storage", stats.storage_violations) ||
-        !fields.integer("aud_cap", stats.cap_violations) ||
-        !fields.integer("aud_stacks", stats.stacks_violations) ||
-        !fields.integer("aud_fallbacks", stats.engine_fallbacks)) {
-      return false;
-    }
-    stats.mode = static_cast<int>(mode);
-    if (fields.find("aud_first") != nullptr) {
-      std::uint64_t first_slot = 0;
-      if (!fields.integer("aud_first_slot", first_slot) ||
-          !fields.string("aud_first", stats.first_violation)) {
-        return false;
-      }
-      stats.first_violation_slot = static_cast<std::size_t>(first_slot);
-    }
-    r.audit = std::move(stats);
-  }
-  return true;
+  return false;
 }
 
 bool header_from_json(std::string_view line, JournalHeader& header) {
   JsonObject object;
-  FlatJsonParser parser(line);
-  if (!parser.parse(object)) {
+  if (!FlatJsonParser(line).parse(object)) {
     return false;
   }
-  const FieldMap fields(object);
-  std::uint64_t version = 0;
-  std::uint64_t points = 0;
+  FieldReader json{object, line.size()};
+  int version = 0;
   std::string fingerprint;
-  if (!fields.integer("fcdpm_journal", version) || version != 1 ||
-      !fields.string("trace", header.trace_name) ||
-      !fields.integer("points", points) ||
-      !fields.string("fingerprint", fingerprint) ||
-      !parse_hex(fingerprint, header.fingerprint)) {
-    return false;
-  }
-  header.points = static_cast<std::size_t>(points);
-  return true;
+  json("fcdpm_journal", version);
+  json("trace", header.trace_name);
+  json("points", header.points);
+  json("fingerprint", fingerprint);
+  return json.ok && json.missing == 0 && version == 1 &&
+         parse_hex(fingerprint, header.fingerprint);
 }
 
 }  // namespace

@@ -19,6 +19,14 @@
 //
 // Doubles round-trip bit-exactly: they are serialized as C99 hexfloats
 // ("0x1.9a6p+9") inside JSON strings.
+//
+// The journal defines what a result's "observable" fields are. Each
+// journaled block (the result core, and the optional cap, stacks and
+// audit blocks) is declared once, as a field list in journal.cpp; the
+// encoder, the decoder and same_observable all walk those lists, so
+// journaling a new field is one line and it is then written, read and
+// compared alike. A resume's spot-check holds replayed records to
+// same_observable, so it covers every journaled block.
 #pragma once
 
 #include <cstdint>
@@ -56,6 +64,15 @@ struct JournalRecord {
   PointError error;            ///< valid when !ok
   sim::SimulationResult result;  ///< observable fields only, when ok
 };
+
+/// Bitwise equality over every journaled result field: the core
+/// totals and each optional block (cap, stacks, audit), absent on both
+/// sides or equal field by field. This is what a resume's spot-check
+/// holds a replayed record to; it walks the same per-block field lists
+/// the journal encodes and decodes with, so it compares exactly what
+/// the journal carries.
+[[nodiscard]] bool same_observable(const sim::SimulationResult& a,
+                                   const sim::SimulationResult& b);
 
 /// Fingerprint of (base config, grid points, storm size);
 /// order-sensitive over the points.

@@ -3,10 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <map>
+#include <optional>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "audit/audit.hpp"
@@ -760,6 +766,282 @@ TEST(JournalGolden, EncodesEveryBlockByteForByte) {
   for (std::size_t k = 0; k < records.size(); ++k) {
     SCOPED_TRACE(testing::Message() << "record=" << k);
     expect_same_record(load.records[k], records[k]);
+  }
+  std::remove(path.c_str());
+}
+
+
+// --- property: every block round-trips and every field is compared ----------
+
+/// Doubles that stress a text round-trip: signed zero, subnormals, the
+/// extremes, inexact fractions, infinities (scalars only: list entries
+/// must be finite) and random finite bit patterns.
+double hostile_double(std::mt19937_64& rng, bool finite) {
+  static constexpr double kHostile[] = {
+      -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 0.1 + 0.2, 1.0 / 3.0,
+      1.7976931348623157e308, -1e-300, 42.0};
+  if (!finite && rng() % 8 == 0) {
+    return rng() % 2 == 0 ? HUGE_VAL : -HUGE_VAL;
+  }
+  if (rng() % 2 == 0) {
+    return kHostile[rng() % std::size(kHostile)];
+  }
+  double value = 0.0;
+  do {
+    value = std::bit_cast<double>(rng());
+  } while (!std::isfinite(value));
+  return value;
+}
+
+/// Short text with characters the journal must escape.
+std::string hostile_text(std::mt19937_64& rng) {
+  static constexpr char kChars[] = "ab \"\\/\n\t\x01\x1f";
+  std::string text;
+  for (std::size_t n = rng() % 8; n > 0; --n) {
+    text += kChars[rng() % (sizeof(kChars) - 1)];
+  }
+  return text;
+}
+
+sim::SimulationResult random_result(std::mt19937_64& rng) {
+  const auto scalar = [&] { return hostile_double(rng, false); };
+  sim::SimulationResult r;
+  r.trace_name = hostile_text(rng);
+  r.dpm_policy = hostile_text(rng);
+  r.fc_policy = hostile_text(rng);
+  r.totals.fuel = Coulomb(scalar());
+  r.totals.delivered_energy = Joule(scalar());
+  r.totals.load_energy = Joule(scalar());
+  r.totals.bled = Coulomb(scalar());
+  r.totals.unserved = Coulomb(scalar());
+  r.totals.duration = Seconds(scalar());
+  r.slots = rng();
+  r.sleeps = rng();
+  r.latency_added = Seconds(scalar());
+  r.storage_initial = Coulomb(scalar());
+  r.storage_end = Coulomb(scalar());
+  r.storage_min = Coulomb(scalar());
+  r.storage_max = Coulomb(scalar());
+  if (rng() % 2 == 0) {
+    cap::CapStats c;
+    c.slots_seen = rng();
+    c.slots_capped = rng();
+    c.level_reductions = rng();
+    c.level_restorations = rng();
+    c.budget_violations = rng();
+    c.energy_deferred = Joule(scalar());
+    c.time_deferred = Seconds(scalar());
+    for (std::size_t n = rng() % 7; n > 0; --n) {
+      c.time_at_level_s.push_back(hostile_double(rng, true));
+    }
+    r.cap = c;
+  }
+  if (const std::size_t n = rng() % 6; n > 0) {
+    stacks::StacksStats s;
+    s.distribution = static_cast<stacks::Distribution>(rng() % 3);
+    for (std::size_t i = 0; i < n; ++i) {
+      s.stacks.push_back({hostile_double(rng, true),
+                          hostile_double(rng, true), rng(),
+                          hostile_double(rng, true)});
+    }
+    r.stacks = s;
+  }
+  if (rng() % 2 == 0) {
+    audit::AuditStats a;
+    a.mode = static_cast<int>(rng() % 3);
+    a.slots_audited = rng();
+    a.segments_audited = rng();
+    a.checks_run = rng();
+    a.violations = rng();
+    a.fuel_violations = rng();
+    a.storage_violations = rng();
+    a.cap_violations = rng();
+    a.stacks_violations = rng();
+    a.engine_fallbacks = rng();
+    if (rng() % 2 == 0) {
+      a.first_violation_slot = rng();
+      a.first_violation = "x" + hostile_text(rng);
+    }
+    r.audit = a;
+  }
+  return r;
+}
+
+double nudged(double value) {
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(value) ^ 1u);
+}
+template <typename Tag>
+void nudge(detail::Quantity<Tag>& value) {
+  value = detail::Quantity<Tag>(nudged(value.value()));
+}
+
+/// Adds an empty block or drops a present one.
+template <typename Block>
+bool toggle(std::optional<Block>& block) {
+  if (block.has_value()) {
+    block.reset();
+  } else {
+    block.emplace();
+  }
+  return true;
+}
+
+/// One edit per result field (and per block's presence), written out
+/// independently of the journal's field lists. Each returns false when
+/// the field is absent from the given result.
+using Mutation = std::function<bool(sim::SimulationResult&)>;
+std::vector<std::pair<std::string, Mutation>> field_mutations() {
+  using R = sim::SimulationResult;
+  const auto mid = [](R& r) -> stacks::StackTotals& {
+    return r.stacks->stacks[r.stacks->stacks.size() / 2];
+  };
+  return {
+      {"trace", [](R& r) { return r.trace_name += "t", true; }},
+      {"dpm", [](R& r) { return r.dpm_policy += "d", true; }},
+      {"fc", [](R& r) { return r.fc_policy += "f", true; }},
+      {"fuel", [](R& r) { return nudge(r.totals.fuel), true; }},
+      {"delivered_j",
+       [](R& r) { return nudge(r.totals.delivered_energy), true; }},
+      {"load_j", [](R& r) { return nudge(r.totals.load_energy), true; }},
+      {"bled", [](R& r) { return nudge(r.totals.bled), true; }},
+      {"unserved", [](R& r) { return nudge(r.totals.unserved), true; }},
+      {"duration", [](R& r) { return nudge(r.totals.duration), true; }},
+      {"slots", [](R& r) { return ++r.slots, true; }},
+      {"sleeps", [](R& r) { return ++r.sleeps, true; }},
+      {"latency", [](R& r) { return nudge(r.latency_added), true; }},
+      {"storage_initial", [](R& r) { return nudge(r.storage_initial), true; }},
+      {"storage_end", [](R& r) { return nudge(r.storage_end), true; }},
+      {"storage_min", [](R& r) { return nudge(r.storage_min), true; }},
+      {"storage_max", [](R& r) { return nudge(r.storage_max), true; }},
+      {"cap block", [](R& r) { return toggle(r.cap); }},
+      {"cap_slots", [](R& r) { return r.cap && (++r.cap->slots_seen, true); }},
+      {"cap_capped",
+       [](R& r) { return r.cap && (++r.cap->slots_capped, true); }},
+      {"cap_reductions",
+       [](R& r) { return r.cap && (++r.cap->level_reductions, true); }},
+      {"cap_restorations",
+       [](R& r) {
+         return r.cap && (++r.cap->level_restorations, true);
+       }},
+      {"cap_violations",
+       [](R& r) { return r.cap && (++r.cap->budget_violations, true); }},
+      {"cap_deferred_j",
+       [](R& r) { return r.cap && (nudge(r.cap->energy_deferred), true); }},
+      {"cap_deferred_s",
+       [](R& r) { return r.cap && (nudge(r.cap->time_deferred), true); }},
+      {"cap_levels entry",
+       [](R& r) {
+         if (!r.cap || r.cap->time_at_level_s.empty()) {
+           return false;
+         }
+         double& level = r.cap->time_at_level_s.back();
+         level = nudged(level);
+         return true;
+       }},
+      {"cap_levels length",
+       [](R& r) {
+         return r.cap && (r.cap->time_at_level_s.push_back(0.0), true);
+       }},
+      {"stacks block", [](R& r) { return toggle(r.stacks); }},
+      {"stk_n",
+       [](R& r) {
+         return r.stacks && (r.stacks->stacks.emplace_back(), true);
+       }},
+      {"stk_dist",
+       [](R& r) {
+         if (!r.stacks) {
+           return false;
+         }
+         const int next = (static_cast<int>(r.stacks->distribution) + 1) % 3;
+         r.stacks->distribution = static_cast<stacks::Distribution>(next);
+         return true;
+       }},
+      {"stk_fuel",
+       [=](R& r) {
+         return r.stacks && (mid(r).fuel_as = nudged(mid(r).fuel_as), true);
+       }},
+      {"stk_delivered",
+       [=](R& r) {
+         return r.stacks &&
+                (mid(r).delivered_as = nudged(mid(r).delivered_as), true);
+       }},
+      {"stk_startups",
+       [=](R& r) { return r.stacks && (++mid(r).startups, true); }},
+      {"stk_wear",
+       [=](R& r) {
+         return r.stacks && (mid(r).wear = nudged(mid(r).wear), true);
+       }},
+      {"audit block", [](R& r) { return toggle(r.audit); }},
+      {"aud_mode",
+       [](R& r) {
+         return r.audit && (r.audit->mode = (r.audit->mode + 1) % 3, true);
+       }},
+      {"aud_slots",
+       [](R& r) { return r.audit && (++r.audit->slots_audited, true); }},
+      {"aud_segments",
+       [](R& r) { return r.audit && (++r.audit->segments_audited, true); }},
+      {"aud_checks",
+       [](R& r) { return r.audit && (++r.audit->checks_run, true); }},
+      {"aud_violations",
+       [](R& r) { return r.audit && (++r.audit->violations, true); }},
+      {"aud_fuel",
+       [](R& r) { return r.audit && (++r.audit->fuel_violations, true); }},
+      {"aud_storage",
+       [](R& r) {
+         return r.audit && (++r.audit->storage_violations, true);
+       }},
+      {"aud_cap",
+       [](R& r) { return r.audit && (++r.audit->cap_violations, true); }},
+      {"aud_stacks",
+       [](R& r) { return r.audit && (++r.audit->stacks_violations, true); }},
+      {"aud_fallbacks",
+       [](R& r) { return r.audit && (++r.audit->engine_fallbacks, true); }},
+      {"aud_first_slot",
+       [](R& r) {
+         return r.audit && (++r.audit->first_violation_slot, true);
+       }},
+      {"aud_first",
+       [](R& r) { return r.audit && (r.audit->first_violation += "y", true); }},
+  };
+}
+
+TEST(JournalProperty, EveryBlockRoundTripsAndEveryFieldIsCompared) {
+  std::mt19937_64 rng(0x5eed17);
+  par::SweepPoint point;
+  point.policy = sim::PolicyKind::FcDpm;
+  std::vector<JournalRecord> written(300);
+  for (std::size_t k = 0; k < written.size(); ++k) {
+    written[k].index = k;
+    written[k].point = point;
+    written[k].result = random_result(rng);
+  }
+  const std::string path = temp_path("property.fcj");
+  {
+    Journal journal = Journal::create(path, {"property", written.size(), 1});
+    journal.append(written);
+  }
+  const JournalLoad load = load_journal(path);
+  ASSERT_FALSE(load.torn_tail);
+  ASSERT_EQ(load.records.size(), written.size());
+
+  const auto mutations = field_mutations();
+  std::map<std::string, std::size_t> applied;
+  for (std::size_t k = 0; k < written.size(); ++k) {
+    SCOPED_TRACE(testing::Message() << "record=" << k);
+    const sim::SimulationResult& original = written[k].result;
+    expect_same_record(load.records[k], written[k]);
+    EXPECT_TRUE(same_observable(load.records[k].result, original));
+    for (const auto& [field, mutate] : mutations) {
+      sim::SimulationResult changed = original;
+      if (mutate(changed)) {
+        ++applied[field];
+        EXPECT_FALSE(same_observable(original, changed)) << field;
+        EXPECT_FALSE(same_observable(changed, original)) << field;
+      }
+    }
+  }
+  for (const auto& [field, mutate] : mutations) {
+    EXPECT_GT(applied[field], 10u) << field << " was never exercised";
   }
   std::remove(path.c_str());
 }

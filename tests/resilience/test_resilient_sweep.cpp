@@ -360,6 +360,48 @@ TEST(ResilientSweepTest, SpotCheckCatchesATamperedJournal) {
   std::remove(path.c_str());
 }
 
+// Same forgery one block deeper: a per-stack fuel total that checksums
+// fine must fail the spot-check like the run's total fuel does.
+TEST(ResilientSweepTest, SpotCheckCatchesATamperedStacksBlock) {
+  const sim::ExperimentConfig base = small_base();
+  par::SweepGrid grid;
+  grid.policies = {sim::PolicyKind::FcDpm};
+  grid.rhos = {0.5};
+  grid.stack_counts = {2};
+  const std::string path = temp_path("tampered_stacks.fcj");
+  const std::vector<par::SweepPoint> points = grid.points(base);
+  ASSERT_EQ(points.size(), 1u);
+
+  const par::SweepPointResult honest =
+      par::run_point(base, points[0], grid.storm_faults);
+  ASSERT_TRUE(honest.result.stacks.has_value());
+  ASSERT_EQ(honest.result.stacks->stacks.size(), 2u);
+  JournalRecord record;
+  record.index = 0;
+  record.point = points[0];
+  record.result = honest.result;
+  record.result.stacks->stacks[1].fuel_as += 1.0;
+  {
+    Journal journal = Journal::create(
+        path, {base.trace.name(), points.size(),
+               grid_fingerprint(base, points, grid.storm_faults)});
+    journal.append(record);
+  }
+
+  par::SweepOptions options;
+  options.journal_path = path;
+  options.resume = true;
+  options.spot_checks = 1;
+  EXPECT_THROW((void)par::run_sweep(base, grid, options), CsvError);
+
+  options.spot_checks = 0;
+  const par::SweepResult blind = par::run_sweep(base, grid, options);
+  ASSERT_TRUE(blind.points[0].result.stacks.has_value());
+  EXPECT_EQ(blind.points[0].result.stacks->stacks[1].fuel_as,
+            honest.result.stacks->stacks[1].fuel_as + 1.0);
+  std::remove(path.c_str());
+}
+
 TEST(ResilientSweepTest, PublishesResilienceMetrics) {
   const sim::ExperimentConfig base = small_base();
   par::SweepGrid grid;
