@@ -62,6 +62,7 @@
 #include "par/sweep.hpp"
 #include "par/worker_pool.hpp"
 #include "report/obs_export.hpp"
+#include "resilience/journal.hpp"
 #include "resilience/retry.hpp"
 #include "report/sweep_export.hpp"
 #include "telemetry/lanes.hpp"
@@ -162,15 +163,16 @@ std::uint64_t parse_unsigned(const std::string& flag, const std::string& what,
   return static_cast<std::uint64_t>(value);
 }
 
-/// Strict non-negative integer option (counts, slot indices).
+/// Strict non-negative integer option (counts, slot indices, seeds).
 std::size_t checked_index_or(const Options& options, const std::string& key,
-                             std::size_t fallback) {
+                             std::size_t fallback,
+                             const std::string& what = "count") {
   const auto it = options.find(key);
   if (it == options.end()) {
     return fallback;
   }
   return static_cast<std::size_t>(
-      parse_unsigned("--" + key, "count", it->second));
+      parse_unsigned("--" + key, what, it->second));
 }
 
 /// Strict comma-separated list option. Items are trimmed; an empty
@@ -264,8 +266,7 @@ wl::Trace load_workload(const Options& options) {
     return wl::load_trace_file(trace_it->second);
   }
   const std::string kind = option_or(options, "kind", "camcorder");
-  const auto seed =
-      static_cast<std::uint64_t>(number_or(options, "seed", 0.0));
+  const std::uint64_t seed = checked_index_or(options, "seed", 0, "seed");
   if (kind == "camcorder") {
     wl::CamcorderConfig config;
     if (seed != 0) {
@@ -283,7 +284,11 @@ wl::Trace load_workload(const Options& options) {
   throw std::runtime_error("unknown workload kind: " + kind);
 }
 
-sim::ExperimentConfig build_config(const Options& options) {
+/// `stack_axis` is set by sweep, whose --stacks may list several counts
+/// (its grid axis); every other command runs one configuration and
+/// takes a single count.
+sim::ExperimentConfig build_config(const Options& options,
+                                   bool stack_axis = false) {
   const std::string kind = option_or(options, "kind", "camcorder");
   sim::ExperimentConfig config = (kind == "synthetic")
                                      ? sim::experiment2_config()
@@ -311,9 +316,12 @@ sim::ExperimentConfig build_config(const Options& options) {
                              " (use on|off)");
   }
   config.cap.table_csv = option_or(options, "cap-table", "");
-  config.cap.hysteresis_slots = static_cast<std::size_t>(number_or(
-      options, "cap-hysteresis",
-      static_cast<double>(config.cap.hysteresis_slots)));
+  config.cap.hysteresis_slots = checked_index_or(
+      options, "cap-hysteresis", config.cap.hysteresis_slots, "slot count");
+  if (config.cap.hysteresis_slots == 0) {
+    throw std::runtime_error(
+        "--cap-hysteresis: must be a positive slot count");
+  }
   config.cap.storage_draw_fraction = checked_number_or(
       options, "cap-draw-fraction", config.cap.storage_draw_fraction);
   if (config.cap.storage_draw_fraction <= 0.0 ||
@@ -363,6 +371,11 @@ sim::ExperimentConfig build_config(const Options& options) {
   // config and the grid axis overrides every point.
   const std::vector<std::uint64_t> stack_counts =
       parse_count_list(options, "stacks", "stack count");
+  if (stack_counts.size() > 1 && !stack_axis) {
+    throw std::runtime_error(
+        "--stacks: a list of counts is a sweep axis; this command runs "
+        "one stack count");
+  }
   const auto stack_count = static_cast<std::size_t>(
       stack_counts.empty() ? 0 : stack_counts.front());
   config.stacks.config_csv = option_or(options, "stacks-config", "");
@@ -533,6 +546,11 @@ class ObsSession {
   obs::Context context_;
 };
 
+/// Longest sampler period --progress-interval-ms accepts: one day. A
+/// period beyond it is a typo, and a far larger one would overflow the
+/// sampler's clock arithmetic.
+constexpr std::size_t kMaxProgressIntervalMs = 86'400'000;
+
 /// Sweep telemetry wiring behind --progress / --progress-out /
 /// --progress-interval-ms (and lane recording when --trace-out is
 /// given). Owns the SweepTelemetry shards, the JSONL progress stream
@@ -546,6 +564,16 @@ class TelemetrySession {
       : progress_path_(option_or(options, "progress-out", "")),
         live_(option_or(options, "progress", "off") == "on"),
         record_lanes_(record_lanes) {
+    std::size_t interval_ms =
+        checked_index_or(options, "progress-interval-ms", 200);
+    if (interval_ms == 0) {
+      interval_ms = 200;
+    }
+    if (interval_ms > kMaxProgressIntervalMs) {
+      throw std::runtime_error("--progress-interval-ms: at most " +
+                               std::to_string(kMaxProgressIntervalMs) +
+                               " (one day)");
+    }
     if (!live_ && progress_path_.empty() && !record_lanes_) {
       return;
     }
@@ -562,12 +590,9 @@ class TelemetrySession {
       }
     }
     if (live_ || !progress_path_.empty()) {
-      auto interval_ms = static_cast<long long>(
-          number_or(options, "progress-interval-ms", 200.0));
-      if (interval_ms <= 0) {
-        interval_ms = 200;
-      }
-      sampler_.emplace(*telemetry_, std::chrono::milliseconds(interval_ms),
+      sampler_.emplace(*telemetry_,
+                       std::chrono::milliseconds(
+                           static_cast<std::int64_t>(interval_ms)),
                        [this](const telemetry::SweepSnapshot& snap) {
                          emit(snap);
                        });
@@ -957,43 +982,14 @@ int cmd_lifetime(const Options& options) {
   return 0;
 }
 
-/// Bitwise comparison of two sweeps over the observable result fields —
-/// the CLI-side mirror of the tests' expect_same_result.
+/// Bitwise comparison of two sweeps over every journaled result field.
 bool identical_sweeps(const par::SweepResult& a, const par::SweepResult& b) {
-  if (a.points.size() != b.points.size()) {
-    return false;
-  }
-  for (std::size_t k = 0; k < a.points.size(); ++k) {
-    const sim::SimulationResult& x = a.points[k].result;
-    const sim::SimulationResult& y = b.points[k].result;
-    if (x.totals.fuel.value() != y.totals.fuel.value() ||
-        x.totals.duration.value() != y.totals.duration.value() ||
-        x.totals.bled.value() != y.totals.bled.value() ||
-        x.totals.unserved.value() != y.totals.unserved.value() ||
-        x.storage_end.value() != y.storage_end.value() ||
-        x.latency_added.value() != y.latency_added.value() ||
-        x.slots != y.slots || x.sleeps != y.sleeps) {
-      return false;
-    }
-    if (x.stacks.has_value() != y.stacks.has_value()) {
-      return false;
-    }
-    if (x.stacks.has_value()) {
-      if (x.stacks->stacks.size() != y.stacks->stacks.size()) {
-        return false;
-      }
-      for (std::size_t i = 0; i < x.stacks->stacks.size(); ++i) {
-        const stacks::StackTotals& sx = x.stacks->stacks[i];
-        const stacks::StackTotals& sy = y.stacks->stacks[i];
-        if (sx.fuel_as != sy.fuel_as ||
-            sx.delivered_as != sy.delivered_as ||
-            sx.startups != sy.startups || sx.wear != sy.wear) {
-          return false;
-        }
-      }
-    }
-  }
-  return true;
+  return std::ranges::equal(
+      a.points, b.points,
+      [](const par::SweepPointResult& x, const par::SweepPointResult& y) {
+        return x.ok == y.ok &&
+               resilience::same_observable(x.result, y.result);
+      });
 }
 
 /// BENCH_sweep.json per-point row from a grid point and (when ok) its
@@ -1180,7 +1176,7 @@ par::SweepOptions parse_sweep_options(const Options& options) {
 }
 
 int cmd_sweep(const Options& options) {
-  const sim::ExperimentConfig config = build_config(options);
+  const sim::ExperimentConfig config = build_config(options, true);
   const par::SweepGrid grid = parse_sweep_grid(options);
   par::SweepOptions sweep_options = parse_sweep_options(options);
   const std::size_t jobs = sweep_options.jobs;
@@ -1511,7 +1507,8 @@ int usage() {
       "           [--progress-out f.jsonl]  snapshot stream, one JSON\n"
       "                                 object per line; the final line\n"
       "                                 totals the whole sweep\n"
-      "           [--progress-interval-ms MS]  sampler period (200)\n"
+      "           [--progress-interval-ms MS]  sampler period (200;\n"
+      "                                 0 = 200, at most one day)\n"
       "  bisect   [--policy ...] [--trace f.csv | --kind ...]\n"
       "           [--perturb-slot K]   synthetic batched-engine defect at\n"
       "                                 slot K (test hook / CI smoke)\n"
@@ -1545,12 +1542,14 @@ int usage() {
       "                        browning out\n"
       "  --cap-table f.csv     corecap table (min_budget_w,max_level);\n"
       "                        default derived from the DVS processor\n"
-      "  --cap-hysteresis N    clean slots before stepping back up (4)\n"
+      "  --cap-hysteresis N    clean slots before stepping back up\n"
+      "                        (4; at least 1)\n"
       "  --cap-draw-fraction F storage charge fraction spendable per\n"
       "                        slot when computing the envelope (0.5)\n"
       "  --stacks N            split the fuel cell into N parallel\n"
       "                        stacks (clones of the base curve) with\n"
-      "                        per-stack degradation accounting\n"
+      "                        per-stack degradation accounting; only\n"
+      "                        sweep takes a list (its grid axis)\n"
       "  --distribution proportional|waterfill|health\n"
       "                        power split across stacks: by ceiling,\n"
       "                        efficiency-optimal water-filling, or\n"
