@@ -551,6 +551,19 @@ class ObsSession {
 /// sampler's clock arithmetic.
 constexpr std::size_t kMaxProgressIntervalMs = 86'400'000;
 
+/// The --progress-interval-ms sampler period; 0 means the 200 ms
+/// default.
+std::chrono::milliseconds progress_interval(const Options& options) {
+  const std::size_t ms =
+      checked_index_or(options, "progress-interval-ms", 200);
+  if (ms > kMaxProgressIntervalMs) {
+    throw std::runtime_error("--progress-interval-ms: at most " +
+                             std::to_string(kMaxProgressIntervalMs) +
+                             " (one day)");
+  }
+  return std::chrono::milliseconds(ms == 0 ? 200 : ms);
+}
+
 /// Sweep telemetry wiring behind --progress / --progress-out /
 /// --progress-interval-ms (and lane recording when --trace-out is
 /// given). Owns the SweepTelemetry shards, the JSONL progress stream
@@ -559,21 +572,12 @@ constexpr std::size_t kMaxProgressIntervalMs = 86'400'000;
 /// hot path byte-for-byte as before.
 class TelemetrySession {
  public:
-  TelemetrySession(const Options& options, std::size_t jobs,
-                   std::size_t total_points, bool record_lanes)
+  TelemetrySession(const Options& options, std::chrono::milliseconds interval,
+                   std::size_t jobs, std::size_t total_points,
+                   bool record_lanes)
       : progress_path_(option_or(options, "progress-out", "")),
         live_(option_or(options, "progress", "off") == "on"),
         record_lanes_(record_lanes) {
-    std::size_t interval_ms =
-        checked_index_or(options, "progress-interval-ms", 200);
-    if (interval_ms == 0) {
-      interval_ms = 200;
-    }
-    if (interval_ms > kMaxProgressIntervalMs) {
-      throw std::runtime_error("--progress-interval-ms: at most " +
-                               std::to_string(kMaxProgressIntervalMs) +
-                               " (one day)");
-    }
     if (!live_ && progress_path_.empty() && !record_lanes_) {
       return;
     }
@@ -590,9 +594,7 @@ class TelemetrySession {
       }
     }
     if (live_ || !progress_path_.empty()) {
-      sampler_.emplace(*telemetry_,
-                       std::chrono::milliseconds(
-                           static_cast<std::int64_t>(interval_ms)),
+      sampler_.emplace(*telemetry_, interval,
                        [this](const telemetry::SweepSnapshot& snap) {
                          emit(snap);
                        });
@@ -1180,6 +1182,7 @@ int cmd_sweep(const Options& options) {
   const par::SweepGrid grid = parse_sweep_grid(options);
   par::SweepOptions sweep_options = parse_sweep_options(options);
   const std::size_t jobs = sweep_options.jobs;
+  const std::chrono::milliseconds progress_period = progress_interval(options);
 
   // A resilience flag adds the status column and the `resilience`
   // report block; the scheduler is the same either way.
@@ -1207,7 +1210,8 @@ int cmd_sweep(const Options& options) {
 
   // The serial reference above runs without telemetry: shards observe
   // only the measured run, so snapshot totals equal its report.
-  TelemetrySession tel(options, jobs, grid.points(config).size(),
+  TelemetrySession tel(options, progress_period, jobs,
+                       grid.points(config).size(),
                        !option_or(options, "trace-out", "").empty());
 
   sweep_options.observer = obs.context();
