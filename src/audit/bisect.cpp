@@ -9,6 +9,7 @@
 #include "batch/engine.hpp"
 #include "common/atomic_file.hpp"
 #include "common/contracts.hpp"
+#include "common/text.hpp"
 #include "workload/trace_io.hpp"
 
 namespace fcdpm::audit {
@@ -63,12 +64,6 @@ namespace {
   return sim::simulate(local.trace, dpm_policy, *fc_policy, hybrid, options);
 }
 
-[[nodiscard]] std::string g17(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
-
 [[nodiscard]] std::string hex64(double value) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "0x%016" PRIx64, bits(value));
@@ -80,16 +75,19 @@ void emit_engine_block(std::string& out, const char* label,
   out += "  \"";
   out += label;
   out += "\": {\n";
-  out += "    \"fuel_as\": " + g17(r.totals.fuel.value()) + ",\n";
-  out += "    \"fuel_bits\": \"" + hex64(r.totals.fuel.value()) + "\",\n";
-  out += "    \"delivered_j\": " + g17(r.totals.delivered_energy.value()) +
+  out += "    \"fuel_as\": " + format_general(r.totals.fuel.value(), 17) +
          ",\n";
+  out += "    \"fuel_bits\": \"" + hex64(r.totals.fuel.value()) + "\",\n";
+  out += "    \"delivered_j\": " +
+         format_general(r.totals.delivered_energy.value(), 17) + ",\n";
   out += "    \"delivered_bits\": \"" +
          hex64(r.totals.delivered_energy.value()) + "\",\n";
-  out += "    \"storage_end_as\": " + g17(r.storage_end.value()) + ",\n";
+  out += "    \"storage_end_as\": " +
+         format_general(r.storage_end.value(), 17) + ",\n";
   out += "    \"storage_end_bits\": \"" + hex64(r.storage_end.value()) +
          "\",\n";
-  out += "    \"unserved_as\": " + g17(r.totals.unserved.value()) + ",\n";
+  out += "    \"unserved_as\": " +
+         format_general(r.totals.unserved.value(), 17) + ",\n";
   out += "    \"sleeps\": " + std::to_string(r.sleeps) + "\n";
   out += "  }";
 }
@@ -187,8 +185,9 @@ void write_repro(const std::string& path_prefix,
   }
   out += "  \"runs\": " + std::to_string(report.runs) + ",\n";
   out += "  \"entry\": {\n";
-  out += "    \"fuel_as\": " + g17(report.entry_fuel_as) + ",\n";
-  out += "    \"storage_as\": " + g17(report.entry_storage_as) + "\n";
+  out += "    \"fuel_as\": " + format_general(report.entry_fuel_as, 17) + ",\n";
+  out += "    \"storage_as\": " +
+         format_general(report.entry_storage_as, 17) + "\n";
   out += "  },\n";
   emit_engine_block(out, "reference", report.reference);
   out += ",\n";

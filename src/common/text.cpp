@@ -1,8 +1,8 @@
 #include "common/text.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
-#include <cstdio>
 
 #include "common/contracts.hpp"
 
@@ -48,31 +48,66 @@ std::string join(const std::vector<std::string>& parts,
   return out;
 }
 
+namespace {
+
+/// Longest text: "%.17f" of -DBL_MAX (sign, 309 digits, point, 17).
+constexpr std::size_t kMaxChars = 330;
+
+/// printf's "%.*<format>" into `buffer`; returns the end of the text.
+char* print(char (&buffer)[kMaxChars], double value,
+            std::chars_format format, int precision) {
+  FCDPM_EXPECTS(precision >= 0 && precision <= 17,
+                "precision out of range");
+  const std::to_chars_result r =
+      std::to_chars(buffer, buffer + kMaxChars, value, format, precision);
+  FCDPM_ENSURES(r.ec == std::errc{}, "number longer than its buffer");
+  return r.ptr;
+}
+
+}  // namespace
+
+void append_general(std::string& out, double value, int precision) {
+  char buffer[kMaxChars];
+  out.append(buffer,
+             print(buffer, value, std::chars_format::general, precision));
+}
+
+void append_fixed(std::string& out, double value, int max_decimals) {
+  char buffer[kMaxChars];
+  char* end = print(buffer, value, std::chars_format::fixed, max_decimals);
+  if (std::find(buffer, end, '.') != end) {
+    while (end[-1] == '0') {
+      --end;
+    }
+    if (end[-1] == '.') {
+      --end;
+    }
+  }
+  if (end - buffer == 2 && buffer[0] == '-' && buffer[1] == '0') {
+    out += '0';
+    return;
+  }
+  out.append(buffer, end);
+}
+
+std::string format_general(double value, int precision) {
+  std::string text;
+  append_general(text, value, precision);
+  return text;
+}
+
 std::string format_fixed(double value, int max_decimals) {
-  FCDPM_EXPECTS(max_decimals >= 0 && max_decimals <= 17,
-                "decimals out of range");
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.*f", max_decimals, value);
-  std::string text(buffer);
-  if (text.find('.') != std::string::npos) {
-    while (text.back() == '0') {
-      text.pop_back();
-    }
-    if (text.back() == '.') {
-      text.pop_back();
-    }
-  }
-  if (text == "-0") {
-    text = "0";
-  }
+  std::string text;
+  append_fixed(text, value, max_decimals);
   return text;
 }
 
 std::string format_percent(double fraction, int decimals) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.*f%%", decimals,
-                fraction * 100.0);
-  return buffer;
+  char buffer[kMaxChars];
+  std::string text(buffer, print(buffer, fraction * 100.0,
+                                 std::chars_format::fixed, decimals));
+  text += '%';
+  return text;
 }
 
 bool parse_double(std::string_view text, double& out) {
@@ -84,21 +119,6 @@ bool parse_double(std::string_view text, double& out) {
   const char* end = begin + trimmed.size();
   const auto [ptr, ec] = std::from_chars(begin, end, out);
   return ec == std::errc{} && ptr == end;
-}
-
-std::string pad_left(std::string_view text, std::size_t width) {
-  if (text.size() >= width) {
-    return std::string(text);
-  }
-  return std::string(width - text.size(), ' ') + std::string(text);
-}
-
-std::string pad_right(std::string_view text, std::size_t width) {
-  std::string out(text);
-  if (out.size() < width) {
-    out.append(width - out.size(), ' ');
-  }
-  return out;
 }
 
 }  // namespace fcdpm

@@ -19,8 +19,19 @@ namespace fcdpm {
 [[nodiscard]] std::string join(const std::vector<std::string>& parts,
                                std::string_view separator);
 
-/// printf-style "%.*f" with trailing-zero trimming ("1.30" -> "1.3",
-/// "2.00" -> "2"). Used for table cells.
+/// The one number formatter: std::to_chars appending to `out`, with no
+/// other allocation. Printing is exactly printf's in the "C" locale.
+///
+/// append_general: "%.*g" with `precision` significant digits (0-17);
+/// 17 digits reproduce any binary64 bit pattern.
+void append_general(std::string& out, double value, int precision);
+
+/// append_fixed: "%.*f" with trailing-zero trimming ("1.30" -> "1.3",
+/// "2.00" -> "2") and "-0" written as "0"; `max_decimals` is 0-17.
+void append_fixed(std::string& out, double value, int max_decimals);
+
+/// String forms of the above (format_fixed is used for table cells).
+[[nodiscard]] std::string format_general(double value, int precision);
 [[nodiscard]] std::string format_fixed(double value, int max_decimals);
 
 /// Render a fraction as a percentage string, e.g. 0.308 -> "30.8%".
@@ -28,9 +39,5 @@ namespace fcdpm {
 
 /// True when `text` parses fully as a floating-point number.
 [[nodiscard]] bool parse_double(std::string_view text, double& out);
-
-/// Left-pad / right-pad to a minimum width with spaces.
-[[nodiscard]] std::string pad_left(std::string_view text, std::size_t width);
-[[nodiscard]] std::string pad_right(std::string_view text, std::size_t width);
 
 }  // namespace fcdpm

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <ostream>
 
+#include "common/text.hpp"
+
 namespace fcdpm::obs {
 
 namespace {
@@ -21,16 +23,14 @@ const char* phase_letter(EventKind kind) {
   return "i";
 }
 
-/// Shortest round-trip double rendering; JSON has no Inf/NaN, so clamp
-/// them to null-safe literals (they only arise from caller bugs).
+/// Round-trip double rendering; JSON has no NaN, so it is written as 0
+/// (it only arises from caller bugs).
 void append_number(std::string& out, double value) {
   if (value != value) {
     out += "0";
     return;
   }
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  out += buffer;
+  append_general(out, value, 17);
 }
 
 void append_args(std::string& out, const TraceEvent& e) {

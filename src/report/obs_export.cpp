@@ -1,35 +1,21 @@
 #include "report/obs_export.hpp"
 
-#include <cstdio>
-
 #include "common/atomic_file.hpp"
+#include "common/text.hpp"
 #include "obs/trace_sink.hpp"
 
 namespace fcdpm::report {
-
-namespace {
-
-std::string format_double(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.12g", value);
-  return buffer;
-}
-
-std::string format_count(std::uint64_t value) {
-  return std::to_string(value);
-}
-
-}  // namespace
 
 CsvDocument metrics_to_csv(const obs::MetricsRegistry& metrics) {
   CsvDocument doc;
   doc.header = {"name", "type", "count", "value",
                 "min",  "max",  "p50",   "p95",   "p99"};
   for (const obs::MetricRow& row : metrics.rows()) {
-    doc.rows.push_back({row.name, row.type, format_count(row.count),
-                        format_double(row.value), format_double(row.min),
-                        format_double(row.max), format_double(row.p50),
-                        format_double(row.p95), format_double(row.p99)});
+    doc.rows.push_back(
+        {row.name, row.type, std::to_string(row.count),
+         format_general(row.value, 12), format_general(row.min, 12),
+         format_general(row.max, 12), format_general(row.p50, 12),
+         format_general(row.p95, 12), format_general(row.p99, 12)});
   }
   return doc;
 }
@@ -44,13 +30,13 @@ std::string metrics_to_json(const obs::MetricsRegistry& metrics) {
     first = false;
     out += "{\"name\":\"" + obs::json_escape(row.name.c_str()) +
            "\",\"type\":\"" + row.type +
-           "\",\"count\":" + format_count(row.count) +
-           ",\"value\":" + format_double(row.value) +
-           ",\"min\":" + format_double(row.min) +
-           ",\"max\":" + format_double(row.max) +
-           ",\"p50\":" + format_double(row.p50) +
-           ",\"p95\":" + format_double(row.p95) +
-           ",\"p99\":" + format_double(row.p99) + "}";
+           "\",\"count\":" + std::to_string(row.count) +
+           ",\"value\":" + format_general(row.value, 12) +
+           ",\"min\":" + format_general(row.min, 12) +
+           ",\"max\":" + format_general(row.max, 12) +
+           ",\"p50\":" + format_general(row.p50, 12) +
+           ",\"p95\":" + format_general(row.p95, 12) +
+           ",\"p99\":" + format_general(row.p99, 12) + "}";
   }
   out += "]}\n";
   return out;

@@ -1,222 +1,215 @@
 #include "report/sweep_export.hpp"
 
-#include <cstdio>
+#include <charconv>
 
 #include "common/atomic_file.hpp"
+#include "common/text.hpp"
 #include "obs/trace_sink.hpp"
 
 namespace fcdpm::report {
 
 namespace {
 
-std::string format_double(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.12g", value);
-  return buffer;
+// Field writers. Each `key` carries its separator, quotes and colon
+// (",\"rho\":"), so a field is one append with no temporary string.
+
+/// Result values: 17 significant digits reproduce any binary64 bit
+/// pattern, so bitwise-equal results give byte-equal rows.
+void exact(std::string& out, const char* key, double value) {
+  out += key;
+  append_general(out, value, 17);
 }
 
-/// Exact round-trip form for result values (17 significant digits
-/// reproduce any IEEE binary64 bit pattern).
-std::string format_exact(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
+/// Timings and derived rates: 12 significant digits.
+void rounded(std::string& out, const char* key, double value) {
+  out += key;
+  append_general(out, value, 12);
 }
 
-std::string point_row_to_json(const SweepPointRow& row) {
-  std::string out = "{";
-  out += "\"policy\":\"" + obs::json_escape(row.policy.c_str()) + "\"";
-  out += ",\"rho\":" + format_exact(row.rho);
-  out += ",\"capacity\":" + format_exact(row.capacity);
-  out += ",\"storm_seed\":" + std::to_string(row.storm_seed);
-  out += ",\"ok\":";
-  out += row.ok ? "true" : "false";
+template <typename Integer>
+void integer(std::string& out, const char* key, Integer value) {
+  out += key;
+  char buffer[24];
+  out.append(buffer, std::to_chars(buffer, buffer + sizeof buffer, value).ptr);
+}
+
+void flag(std::string& out, const char* key, bool value) {
+  out += key;
+  out += value ? "true" : "false";
+}
+
+void text(std::string& out, const char* key, const std::string& value) {
+  out += key;
+  out += '"';
+  out += obs::json_escape(value.c_str());
+  out += '"';
+}
+
+void append_row(std::string& out, const SweepPointRow& row) {
+  text(out, "{\"policy\":", row.policy);
+  exact(out, ",\"rho\":", row.rho);
+  exact(out, ",\"capacity\":", row.capacity);
+  integer(out, ",\"storm_seed\":", row.storm_seed);
+  flag(out, ",\"ok\":", row.ok);
   if (!row.error.empty()) {
-    out += ",\"error\":\"" + obs::json_escape(row.error.c_str()) + "\"";
+    text(out, ",\"error\":", row.error);
   }
-  out += ",\"attempts\":" + std::to_string(row.attempts);
-  out += ",\"replayed\":";
-  out += row.replayed ? "true" : "false";
+  integer(out, ",\"attempts\":", row.attempts);
+  flag(out, ",\"replayed\":", row.replayed);
   if (row.ok) {
-    out += ",\"fuel\":" + format_exact(row.fuel);
-    out += ",\"bled\":" + format_exact(row.bled);
-    out += ",\"unserved\":" + format_exact(row.unserved);
-    out += ",\"duration\":" + format_exact(row.duration);
-    out += ",\"storage_end\":" + format_exact(row.storage_end);
-    out += ",\"latency\":" + format_exact(row.latency);
-    out += ",\"slots\":" + std::to_string(row.slots);
-    out += ",\"sleeps\":" + std::to_string(row.sleeps);
+    exact(out, ",\"fuel\":", row.fuel);
+    exact(out, ",\"bled\":", row.bled);
+    exact(out, ",\"unserved\":", row.unserved);
+    exact(out, ",\"duration\":", row.duration);
+    exact(out, ",\"storage_end\":", row.storage_end);
+    exact(out, ",\"latency\":", row.latency);
+    integer(out, ",\"slots\":", row.slots);
+    integer(out, ",\"sleeps\":", row.sleeps);
     if (row.cap_enabled) {
-      out += ",\"capped_slots\":" + std::to_string(row.capped_slots);
-      out += ",\"cap_violations\":" + std::to_string(row.cap_violations);
-      out += ",\"cap_deferred_j\":" + format_exact(row.cap_deferred_j);
-      out += ",\"cap_deferred_s\":" + format_exact(row.cap_deferred_s);
+      integer(out, ",\"capped_slots\":", row.capped_slots);
+      integer(out, ",\"cap_violations\":", row.cap_violations);
+      exact(out, ",\"cap_deferred_j\":", row.cap_deferred_j);
+      exact(out, ",\"cap_deferred_s\":", row.cap_deferred_s);
     }
     if (row.stacks_enabled) {
-      out += ",\"stacks\":" + std::to_string(row.stacks);
-      out += ",\"distribution\":\"" +
-             obs::json_escape(row.distribution.c_str()) + "\"";
-      out += ",\"stack_startups\":" + std::to_string(row.stack_startups);
-      out += ",\"stack_max_wear\":" + format_exact(row.stack_max_wear);
+      integer(out, ",\"stacks\":", row.stacks);
+      text(out, ",\"distribution\":", row.distribution);
+      integer(out, ",\"stack_startups\":", row.stack_startups);
+      exact(out, ",\"stack_max_wear\":", row.stack_max_wear);
       out += ",\"stack_fuel\":[";
       for (std::size_t k = 0; k < row.stack_fuel.size(); ++k) {
-        if (k != 0) {
-          out += ',';
-        }
-        out += format_exact(row.stack_fuel[k]);
+        exact(out, k == 0 ? "" : ",", row.stack_fuel[k]);
       }
-      out += "]";
+      out += ']';
     }
     if (row.audit_enabled) {
-      out += ",\"audit_slots\":" + std::to_string(row.audit_slots);
-      out += ",\"audit_checks\":" + std::to_string(row.audit_checks);
-      out += ",\"audit_violations\":" + std::to_string(row.audit_violations);
-      out += ",\"engine_fallbacks\":" + std::to_string(row.engine_fallbacks);
+      integer(out, ",\"audit_slots\":", row.audit_slots);
+      integer(out, ",\"audit_checks\":", row.audit_checks);
+      integer(out, ",\"audit_violations\":", row.audit_violations);
+      integer(out, ",\"engine_fallbacks\":", row.engine_fallbacks);
       if (!row.audit_first.empty()) {
-        out += ",\"audit_first\":\"" +
-               obs::json_escape(row.audit_first.c_str()) + "\"";
+        text(out, ",\"audit_first\":", row.audit_first);
       }
     }
   }
-  out += "}";
-  return out;
+  out += '}';
 }
 
-std::string resilience_to_json(const SweepResilienceReport& r) {
-  std::string out = "{";
-  out += "\"scheduled\":" + std::to_string(r.scheduled);
-  out += ",\"replayed\":" + std::to_string(r.replayed);
-  out += ",\"retries\":" + std::to_string(r.retries);
-  out += ",\"quarantined\":" + std::to_string(r.quarantined);
-  out += ",\"rounds\":" + std::to_string(r.rounds);
-  out += ",\"spot_checks\":" + std::to_string(r.spot_checks);
-  out += ",\"torn_tail_recovered\":";
-  out += r.torn_tail_recovered ? "true" : "false";
-  out += ",\"torn_bytes_dropped\":" + std::to_string(r.torn_bytes_dropped);
-  out += ",\"watchdog_stalls\":" + std::to_string(r.watchdog_stalls);
-  out += ",\"max_retries\":" + std::to_string(r.max_retries);
-  out +=
-      ",\"point_deadline_slots\":" + std::to_string(r.point_deadline_slots);
+void append_resilience(std::string& out, const SweepResilienceReport& r) {
+  integer(out, ",\"resilience\":{\"scheduled\":", r.scheduled);
+  integer(out, ",\"replayed\":", r.replayed);
+  integer(out, ",\"retries\":", r.retries);
+  integer(out, ",\"quarantined\":", r.quarantined);
+  integer(out, ",\"rounds\":", r.rounds);
+  integer(out, ",\"spot_checks\":", r.spot_checks);
+  flag(out, ",\"torn_tail_recovered\":", r.torn_tail_recovered);
+  integer(out, ",\"torn_bytes_dropped\":", r.torn_bytes_dropped);
+  integer(out, ",\"watchdog_stalls\":", r.watchdog_stalls);
+  integer(out, ",\"max_retries\":", r.max_retries);
+  integer(out, ",\"point_deadline_slots\":", r.point_deadline_slots);
   if (r.cap_enabled) {
-    out += ",\"capped_ok\":" + std::to_string(r.capped_ok);
+    integer(out, ",\"capped_ok\":", r.capped_ok);
   }
-  out += "}";
-  return out;
+  out += '}';
 }
 
-std::string telemetry_worker_to_json(const TelemetryWorkerRow& w) {
-  std::string out = "{";
-  out += "\"worker\":" + std::to_string(w.worker);
-  out += ",\"done\":" + std::to_string(w.done);
-  out += ",\"retried\":" + std::to_string(w.retried);
-  out += ",\"quarantined\":" + std::to_string(w.quarantined);
-  out += ",\"reference_dispatches\":" +
-         std::to_string(w.reference_dispatches);
-  out += ",\"batched_dispatches\":" + std::to_string(w.batched_dispatches);
-  out += ",\"heartbeats\":" + std::to_string(w.heartbeats);
-  out += ",\"slots\":" + std::to_string(w.slots);
-  if (w.capped_slots > 0) {
-    out += ",\"capped_slots\":" + std::to_string(w.capped_slots);
+/// The counters a telemetry snapshot and each of its workers share;
+/// `key` opens the object with the first of them.
+template <typename Counters>
+void append_counters(std::string& out, const char* key, std::uint64_t first,
+                     const Counters& c) {
+  integer(out, key, first);
+  integer(out, ",\"done\":", c.done);
+  integer(out, ",\"retried\":", c.retried);
+  integer(out, ",\"quarantined\":", c.quarantined);
+  integer(out, ",\"reference_dispatches\":", c.reference_dispatches);
+  integer(out, ",\"batched_dispatches\":", c.batched_dispatches);
+  integer(out, ",\"heartbeats\":", c.heartbeats);
+  integer(out, ",\"slots\":", c.slots);
+  if (c.capped_slots > 0) {
+    integer(out, ",\"capped_slots\":", c.capped_slots);
   }
-  if (w.audited_slots > 0) {
-    out += ",\"audited_slots\":" + std::to_string(w.audited_slots);
-    out += ",\"audit_violations\":" + std::to_string(w.audit_violations);
-    out += ",\"engine_fallbacks\":" + std::to_string(w.engine_fallbacks);
+  if (c.audited_slots > 0) {
+    integer(out, ",\"audited_slots\":", c.audited_slots);
+    integer(out, ",\"audit_violations\":", c.audit_violations);
+    integer(out, ",\"engine_fallbacks\":", c.engine_fallbacks);
   }
-  out += ",\"busy_s\":" + format_double(w.busy_seconds);
-  out += "}";
-  return out;
 }
 
-std::string telemetry_to_json(const TelemetryReport& t) {
-  std::string out = "{";
-  out += "\"snapshots\":" + std::to_string(t.snapshots);
-  out += ",\"done\":" + std::to_string(t.done);
-  out += ",\"retried\":" + std::to_string(t.retried);
-  out += ",\"quarantined\":" + std::to_string(t.quarantined);
-  out += ",\"reference_dispatches\":" +
-         std::to_string(t.reference_dispatches);
-  out += ",\"batched_dispatches\":" + std::to_string(t.batched_dispatches);
-  out += ",\"heartbeats\":" + std::to_string(t.heartbeats);
-  out += ",\"slots\":" + std::to_string(t.slots);
-  if (t.capped_slots > 0) {
-    out += ",\"capped_slots\":" + std::to_string(t.capped_slots);
-  }
-  if (t.audited_slots > 0) {
-    out += ",\"audited_slots\":" + std::to_string(t.audited_slots);
-    out += ",\"audit_violations\":" + std::to_string(t.audit_violations);
-    out += ",\"engine_fallbacks\":" + std::to_string(t.engine_fallbacks);
-  }
-  out += ",\"points_per_s\":" + format_double(t.throughput_points_per_s);
-  out += ",\"wall_p50_us\":" + format_double(t.wall_p50_us);
-  out += ",\"wall_p95_us\":" + format_double(t.wall_p95_us);
-  out += ",\"wall_p99_us\":" + format_double(t.wall_p99_us);
-  out += ",\"wall_max_us\":" + format_double(t.wall_max_us);
-  out += ",\"worker_skew\":" + format_double(t.worker_skew);
+void append_telemetry(std::string& out, const TelemetryReport& t) {
+  append_counters(out, ",\"telemetry\":{\"snapshots\":", t.snapshots, t);
+  rounded(out, ",\"points_per_s\":", t.throughput_points_per_s);
+  rounded(out, ",\"wall_p50_us\":", t.wall_p50_us);
+  rounded(out, ",\"wall_p95_us\":", t.wall_p95_us);
+  rounded(out, ",\"wall_p99_us\":", t.wall_p99_us);
+  rounded(out, ",\"wall_max_us\":", t.wall_max_us);
+  rounded(out, ",\"worker_skew\":", t.worker_skew);
   out += ",\"workers\":[";
   for (std::size_t k = 0; k < t.workers.size(); ++k) {
-    if (k != 0) {
-      out += ',';
-    }
-    out += telemetry_worker_to_json(t.workers[k]);
+    const TelemetryWorkerRow& w = t.workers[k];
+    append_counters(out, k == 0 ? "{\"worker\":" : ",{\"worker\":", w.worker,
+                    w);
+    rounded(out, ",\"busy_s\":", w.busy_seconds);
+    out += '}';
   }
   out += "]}";
-  return out;
 }
 
 }  // namespace
 
 std::string sweep_bench_to_json(const SweepBenchReport& bench) {
-  std::string out = "{";
-  out += "\"trace\":\"" + obs::json_escape(bench.trace_name.c_str()) + "\"";
-  out += ",\"points\":" + std::to_string(bench.points);
-  out += ",\"jobs\":" + std::to_string(bench.jobs);
-  out += ",\"wall_s\":" + format_double(bench.wall_seconds);
-  out += ",\"points_per_s\":" + format_double(bench.points_per_second);
-  out += ",\"serial_wall_s\":" + format_double(bench.serial_wall_seconds);
-  out += ",\"speedup\":" + format_double(bench.speedup);
-  out += ",\"bit_identical_to_serial\":" +
-         std::to_string(bench.bit_identical_to_serial);
+  std::string out;
+  out.reserve(1024 + 400 * bench.results.size());
+  text(out, "{\"trace\":", bench.trace_name);
+  integer(out, ",\"points\":", bench.points);
+  integer(out, ",\"jobs\":", bench.jobs);
+  rounded(out, ",\"wall_s\":", bench.wall_seconds);
+  rounded(out, ",\"points_per_s\":", bench.points_per_second);
+  rounded(out, ",\"serial_wall_s\":", bench.serial_wall_seconds);
+  rounded(out, ",\"speedup\":", bench.speedup);
+  integer(out, ",\"bit_identical_to_serial\":",
+          bench.bit_identical_to_serial);
   if (bench.cap_enabled) {
-    out += ",\"cap\":{\"capped_slots\":" + std::to_string(bench.capped_slots) +
-           ",\"capped_points\":" + std::to_string(bench.capped_points) +
-           ",\"violations\":" + std::to_string(bench.cap_violations) +
-           ",\"deferred_j\":" + format_double(bench.cap_deferred_j) + "}";
+    integer(out, ",\"cap\":{\"capped_slots\":", bench.capped_slots);
+    integer(out, ",\"capped_points\":", bench.capped_points);
+    integer(out, ",\"violations\":", bench.cap_violations);
+    rounded(out, ",\"deferred_j\":", bench.cap_deferred_j);
+    out += '}';
   }
   if (bench.stacks_enabled) {
-    out += ",\"stacks\":{\"points\":" + std::to_string(bench.stack_points) +
-           ",\"startups\":" + std::to_string(bench.stack_startups) +
-           ",\"max_wear\":" + format_exact(bench.stack_max_wear) + "}";
+    integer(out, ",\"stacks\":{\"points\":", bench.stack_points);
+    integer(out, ",\"startups\":", bench.stack_startups);
+    exact(out, ",\"max_wear\":", bench.stack_max_wear);
+    out += '}';
   }
   if (bench.batched_points > 0) {
-    out += ",\"batch\":{\"points\":" + std::to_string(bench.batched_points) +
-           ",\"merge_sets\":" + std::to_string(bench.batch_merge_sets) +
-           ",\"merged_lane_slots\":" +
-           std::to_string(bench.batch_merged_lane_slots) +
-           ",\"splits\":" + std::to_string(bench.batch_splits) + "}";
+    integer(out, ",\"batch\":{\"points\":", bench.batched_points);
+    integer(out, ",\"merge_sets\":", bench.batch_merge_sets);
+    integer(out, ",\"merged_lane_slots\":", bench.batch_merged_lane_slots);
+    integer(out, ",\"splits\":", bench.batch_splits);
+    out += '}';
   }
   if (bench.audit_enabled) {
-    out += ",\"audit\":{\"mode\":\"" +
-           obs::json_escape(bench.audit_mode.c_str()) + "\"" +
-           ",\"audited_slots\":" + std::to_string(bench.audited_slots) +
-           ",\"checks\":" + std::to_string(bench.audit_checks) +
-           ",\"violations\":" + std::to_string(bench.audit_violations) +
-           ",\"engine_fallbacks\":" + std::to_string(bench.engine_fallbacks) +
-           ",\"fallback_points\":" + std::to_string(bench.fallback_points) +
-           "}";
+    text(out, ",\"audit\":{\"mode\":", bench.audit_mode);
+    integer(out, ",\"audited_slots\":", bench.audited_slots);
+    integer(out, ",\"checks\":", bench.audit_checks);
+    integer(out, ",\"violations\":", bench.audit_violations);
+    integer(out, ",\"engine_fallbacks\":", bench.engine_fallbacks);
+    integer(out, ",\"fallback_points\":", bench.fallback_points);
+    out += '}';
   }
   if (bench.resilience.enabled) {
-    out += ",\"resilience\":" + resilience_to_json(bench.resilience);
+    append_resilience(out, bench.resilience);
   }
   if (bench.telemetry.enabled) {
-    out += ",\"telemetry\":" + telemetry_to_json(bench.telemetry);
+    append_telemetry(out, bench.telemetry);
   }
   out += ",\"results\":[";
   for (std::size_t k = 0; k < bench.results.size(); ++k) {
     if (k != 0) {
       out += ',';
     }
-    out += point_row_to_json(bench.results[k]);
+    append_row(out, bench.results[k]);
   }
   out += "]}\n";
   return out;

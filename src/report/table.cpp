@@ -34,29 +34,34 @@ std::string Table::to_ascii() const {
     }
   }
 
-  std::ostringstream out;
-  out << title_ << '\n';
-
-  const auto emit_row = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < columns_.size(); ++c) {
-      if (c != 0) {
-        out << "  ";
-      }
-      out << pad_right(c < cells.size() ? cells[c] : "", widths[c]);
-    }
-    out << '\n';
-  };
-
-  emit_row(columns_);
   std::size_t rule = 0;
   for (std::size_t c = 0; c < widths.size(); ++c) {
     rule += widths[c] + (c == 0 ? 0 : 2);
   }
-  out << std::string(rule, '-') << '\n';
+  std::string out;
+  out.reserve(title_.size() + 1 + (rows_.size() + 2) * (rule + 1));
+  out += title_;
+  out += '\n';
+
+  // add_row pads every row to the column count.
+  const auto emit_row = [&](const std::vector<std::string>& cells) {
+    for (std::size_t c = 0; c < columns_.size(); ++c) {
+      if (c != 0) {
+        out += "  ";
+      }
+      out += cells[c];
+      out.append(widths[c] - cells[c].size(), ' ');
+    }
+    out += '\n';
+  };
+
+  emit_row(columns_);
+  out.append(rule, '-');
+  out += '\n';
   for (const auto& row : rows_) {
     emit_row(row);
   }
-  return out.str();
+  return out;
 }
 
 std::string Table::to_markdown() const {

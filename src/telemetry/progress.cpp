@@ -2,15 +2,11 @@
 
 #include <cstdio>
 
+#include "common/text.hpp"
+
 namespace fcdpm::telemetry {
 
 namespace {
-
-std::string fmt(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.12g", value);
-  return buffer;
-}
 
 std::string fmt1(double value) {
   char buffer[40];
@@ -18,43 +14,50 @@ std::string fmt1(double value) {
   return buffer;
 }
 
+/// The counters a snapshot and each of its workers share, in stream
+/// order. capped_slots and the audit counters are emitted only once
+/// capping / auditing is live, so cap-off and audit-off streams keep
+/// their bytes.
+template <typename Counters>
+void append_counters(std::string& out, const Counters& c) {
+  out += ",\"done\":" + std::to_string(c.done);
+  out += ",\"retried\":" + std::to_string(c.retried);
+  out += ",\"quarantined\":" + std::to_string(c.quarantined);
+  out += ",\"reference_dispatches\":" +
+         std::to_string(c.reference_dispatches);
+  out += ",\"batched_dispatches\":" + std::to_string(c.batched_dispatches);
+  out += ",\"heartbeats\":" + std::to_string(c.heartbeats);
+  out += ",\"slots\":" + std::to_string(c.slots);
+  if (c.capped_slots > 0) {
+    out += ",\"capped_slots\":" + std::to_string(c.capped_slots);
+  }
+  if (c.audited_slots > 0) {
+    out += ",\"audited_slots\":" + std::to_string(c.audited_slots);
+    out += ",\"audit_violations\":" + std::to_string(c.audit_violations);
+    out += ",\"engine_fallbacks\":" + std::to_string(c.engine_fallbacks);
+  }
+}
+
 }  // namespace
 
 std::string snapshot_to_json(const SweepSnapshot& snap) {
   std::string out = "{\"schema\":\"fcdpm.sweep_progress.v1\"";
   out += ",\"seq\":" + std::to_string(snap.seq);
-  out += ",\"elapsed_s\":" + fmt(snap.elapsed_seconds);
+  out += ",\"elapsed_s\":" + format_general(snap.elapsed_seconds, 12);
   out += ",\"total_points\":" + std::to_string(snap.total_points);
-  out += ",\"done\":" + std::to_string(snap.done);
-  out += ",\"retried\":" + std::to_string(snap.retried);
-  out += ",\"quarantined\":" + std::to_string(snap.quarantined);
-  out += ",\"reference_dispatches\":" +
-         std::to_string(snap.reference_dispatches);
-  out += ",\"batched_dispatches\":" + std::to_string(snap.batched_dispatches);
-  out += ",\"heartbeats\":" + std::to_string(snap.heartbeats);
-  out += ",\"slots\":" + std::to_string(snap.slots);
-  // Emitted only once capping is live so cap-off streams stay
-  // byte-identical to pre-cap builds.
-  if (snap.capped_slots > 0) {
-    out += ",\"capped_slots\":" + std::to_string(snap.capped_slots);
-  }
-  // Same gating for auditing: audit-off streams keep their bytes.
-  if (snap.audited_slots > 0) {
-    out += ",\"audited_slots\":" + std::to_string(snap.audited_slots);
-    out += ",\"audit_violations\":" + std::to_string(snap.audit_violations);
-    out += ",\"engine_fallbacks\":" + std::to_string(snap.engine_fallbacks);
-  }
-  out += ",\"points_per_s\":" + fmt(snap.throughput_points_per_s);
-  out += ",\"eta_s\":" + fmt(snap.eta_seconds);
-  out += ",\"wall_p50_us\":" + fmt(snap.wall_p50_us);
-  out += ",\"wall_p95_us\":" + fmt(snap.wall_p95_us);
-  out += ",\"wall_p99_us\":" + fmt(snap.wall_p99_us);
-  out += ",\"wall_max_us\":" + fmt(snap.wall_max_us);
-  out += ",\"sim_p50_s\":" + fmt(snap.sim_p50_s);
-  out += ",\"sim_p95_s\":" + fmt(snap.sim_p95_s);
-  out += ",\"sim_p99_s\":" + fmt(snap.sim_p99_s);
-  out += ",\"sim_max_s\":" + fmt(snap.sim_max_s);
-  out += ",\"worker_skew\":" + fmt(snap.worker_skew);
+  append_counters(out, snap);
+  out += ",\"points_per_s\":" +
+         format_general(snap.throughput_points_per_s, 12);
+  out += ",\"eta_s\":" + format_general(snap.eta_seconds, 12);
+  out += ",\"wall_p50_us\":" + format_general(snap.wall_p50_us, 12);
+  out += ",\"wall_p95_us\":" + format_general(snap.wall_p95_us, 12);
+  out += ",\"wall_p99_us\":" + format_general(snap.wall_p99_us, 12);
+  out += ",\"wall_max_us\":" + format_general(snap.wall_max_us, 12);
+  out += ",\"sim_p50_s\":" + format_general(snap.sim_p50_s, 12);
+  out += ",\"sim_p95_s\":" + format_general(snap.sim_p95_s, 12);
+  out += ",\"sim_p99_s\":" + format_general(snap.sim_p99_s, 12);
+  out += ",\"sim_max_s\":" + format_general(snap.sim_max_s, 12);
+  out += ",\"worker_skew\":" + format_general(snap.worker_skew, 12);
   out += ",\"workers\":[";
   for (std::size_t i = 0; i < snap.workers.size(); ++i) {
     const WorkerSnapshot& w = snap.workers[i];
@@ -62,23 +65,8 @@ std::string snapshot_to_json(const SweepSnapshot& snap) {
       out += ',';
     }
     out += "{\"worker\":" + std::to_string(w.worker);
-    out += ",\"done\":" + std::to_string(w.done);
-    out += ",\"retried\":" + std::to_string(w.retried);
-    out += ",\"quarantined\":" + std::to_string(w.quarantined);
-    out += ",\"reference_dispatches\":" +
-           std::to_string(w.reference_dispatches);
-    out += ",\"batched_dispatches\":" + std::to_string(w.batched_dispatches);
-    out += ",\"heartbeats\":" + std::to_string(w.heartbeats);
-    out += ",\"slots\":" + std::to_string(w.slots);
-    if (w.capped_slots > 0) {
-      out += ",\"capped_slots\":" + std::to_string(w.capped_slots);
-    }
-    if (w.audited_slots > 0) {
-      out += ",\"audited_slots\":" + std::to_string(w.audited_slots);
-      out += ",\"audit_violations\":" + std::to_string(w.audit_violations);
-      out += ",\"engine_fallbacks\":" + std::to_string(w.engine_fallbacks);
-    }
-    out += ",\"busy_s\":" + fmt(w.busy_seconds) + "}";
+    append_counters(out, w);
+    out += ",\"busy_s\":" + format_general(w.busy_seconds, 12) + "}";
   }
   out += "]}";
   return out;
