@@ -36,6 +36,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -123,15 +124,8 @@ std::string option_or(const Options& options, const std::string& key,
   return it == options.end() ? fallback : it->second;
 }
 
-double number_or(const Options& options, const std::string& key,
-                 double fallback) {
-  const auto it = options.find(key);
-  return it == options.end() ? fallback : std::atof(it->second.c_str());
-}
-
-/// Like number_or but strict: a value that does not parse as a number
-/// is a CLI error, not silently 0. New flags use this; pre-existing
-/// flags keep number_or so their (permissive) behavior is unchanged.
+/// Strict number option: a value that does not parse as a number is a
+/// CLI error, not silently 0.
 double checked_number_or(const Options& options, const std::string& key,
                          double fallback) {
   const auto it = options.find(key);
@@ -145,6 +139,26 @@ double checked_number_or(const Options& options, const std::string& key,
   }
   return value;
 }
+
+/// checked_number_or plus a range: `in_range` must accept the value
+/// (NaN fails every range here), else an error naming the flag, its
+/// text and `range`. A library precondition would otherwise reject it
+/// later without naming the flag, or not at all.
+double ranged_number_or(const Options& options, const std::string& key,
+                        double fallback, bool (*in_range)(double),
+                        const char* range) {
+  const double value = checked_number_or(options, key, fallback);
+  if (!in_range(value)) {
+    throw std::runtime_error("--" + key + ": '" +
+                             option_or(options, key, "") +
+                             "' out of range (need " + range + ")");
+  }
+  return value;
+}
+
+bool is_fraction(double v) { return v >= 0.0 && v <= 1.0; }
+bool is_positive(double v) { return v > 0.0 && std::isfinite(v); }
+bool is_non_negative(double v) { return v >= 0.0 && std::isfinite(v); }
 
 /// Strict non-negative integer: decimal digits only (no sign, no
 /// blanks) and in range, else an error naming `flag` and `what`.
@@ -294,12 +308,16 @@ sim::ExperimentConfig build_config(const Options& options,
                                      ? sim::experiment2_config()
                                      : sim::experiment1_config();
   config.trace = load_workload(options);
-  config.rho = number_or(options, "rho", config.rho);
-  config.sigma = number_or(options, "sigma", config.sigma);
+  config.rho = ranged_number_or(options, "rho", config.rho, is_fraction,
+                                "a weight in [0, 1]");
+  config.sigma = ranged_number_or(options, "sigma", config.sigma,
+                                  is_fraction, "a weight in [0, 1]");
   config.storage_capacity = Coulomb(
-      number_or(options, "capacity", config.storage_capacity.value()));
-  config.initial_storage = Coulomb(
-      number_or(options, "initial", config.initial_storage.value()));
+      ranged_number_or(options, "capacity", config.storage_capacity.value(),
+                       is_positive, "a positive finite charge in A-s"));
+  config.initial_storage = Coulomb(ranged_number_or(
+      options, "initial", config.initial_storage.value(), is_non_negative,
+      "a non-negative finite charge in A-s"));
   config.simulation.initial_storage = config.initial_storage;
   const std::string engine = option_or(options, "engine", "reference");
   if (engine == "batched") {
@@ -322,15 +340,9 @@ sim::ExperimentConfig build_config(const Options& options,
     throw std::runtime_error(
         "--cap-hysteresis: must be a positive slot count");
   }
-  config.cap.storage_draw_fraction = checked_number_or(
-      options, "cap-draw-fraction", config.cap.storage_draw_fraction);
-  if (config.cap.storage_draw_fraction <= 0.0 ||
-      config.cap.storage_draw_fraction > 1.0) {
-    throw std::runtime_error(
-        "--cap-draw-fraction: '" +
-        option_or(options, "cap-draw-fraction", "") +
-        "' out of range (need a fraction in (0, 1])");
-  }
+  config.cap.storage_draw_fraction = ranged_number_or(
+      options, "cap-draw-fraction", config.cap.storage_draw_fraction,
+      [](double v) { return v > 0.0 && v <= 1.0; }, "a fraction in (0, 1]");
   // Runtime invariant auditing (opt-in; results stay bit-identical).
   const std::string audit_mode = option_or(options, "audit", "off");
   if (!audit::parse_mode(audit_mode, config.audit.mode)) {
@@ -387,10 +399,12 @@ sim::ExperimentConfig build_config(const Options& options,
   if (!distribution.empty()) {
     config.stacks.distribution = stacks::parse_distribution(distribution);
   }
-  config.stacks.charge_fade_per_as = number_or(
-      options, "stack-charge-fade", config.stacks.charge_fade_per_as);
-  config.stacks.cycle_fade =
-      number_or(options, "stack-cycle-fade", config.stacks.cycle_fade);
+  config.stacks.charge_fade_per_as = ranged_number_or(
+      options, "stack-charge-fade", config.stacks.charge_fade_per_as,
+      is_non_negative, "a non-negative finite fade rate");
+  config.stacks.cycle_fade = ranged_number_or(
+      options, "stack-cycle-fade", config.stacks.cycle_fade, is_non_negative,
+      "a non-negative finite fade rate");
   return config;
 }
 
@@ -939,7 +953,8 @@ int cmd_lifetime(const Options& options) {
   reject_observed_batched(options, config);
   const sim::PolicyKind kind =
       parse_policy(option_or(options, "policy", "fcdpm"));
-  const Coulomb tank(number_or(options, "tank", 10000.0));
+  const Coulomb tank(ranged_number_or(options, "tank", 10000.0, is_positive,
+                                      "a positive finite charge in A-s"));
 
   ObsSession obs(options);
   config.simulation.observer = obs.context();
@@ -1442,7 +1457,9 @@ int cmd_aggregate(const Options& options) {
     throw std::runtime_error("aggregate requires --out <file>");
   }
   const wl::Trace trace = load_workload(options);
-  const Seconds budget(number_or(options, "defer", 30.0));
+  const Seconds budget(ranged_number_or(options, "defer", 30.0,
+                                        is_non_negative,
+                                        "a non-negative finite time in s"));
   wl::AggregationReport report;
   const wl::Trace merged = wl::aggregate_trace(trace, budget, &report);
   wl::save_trace_file(out_it->second, merged);
