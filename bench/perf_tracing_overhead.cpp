@@ -15,11 +15,23 @@
 // sample-mode (the always-on candidate) under the same 2 % budget and
 // exit-1 gate; strict mode is reported for information only. Bit
 // identity between audited and unaudited sweeps is asserted first.
+//
+// Method. One simulate() or sweep lasts 0.03-0.3 ms, below a shared
+// host's scheduling noise, so a timed sample repeats it until the
+// sample lasts at least 20 ms, and the process runs pinned to one CPU.
+// A gate compares baseline and observed variant in back-to-back pairs,
+// alternating which runs first, and takes the median of the pairs'
+// observed/baseline time ratios. Every gate also times a negative
+// control: the observed variant doing 5 % more work. The control must
+// exceed the budget; when it does not, the measurement cannot see a
+// 5 % slowdown, let alone a 2 % one, and the bench exits 1 instead of
+// passing blind.
+#include <sched.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <ostream>
 #include <streambuf>
@@ -38,16 +50,23 @@ namespace {
 using namespace fcdpm;
 using Clock = std::chrono::steady_clock;
 
-constexpr int kInnerRuns = 250;  // one sample = this many simulate() calls
-constexpr int kSamples = 25;     // keep the minimum: robust to jitter
+constexpr double kBudgetPct = 2.0;
+constexpr double kMinSampleMs = 20.0;  // shortest timed sample
+constexpr int kPairs = 41;             // timed pairs per comparison
+// Repetition counts are 20 * 2^k, so reps / 20 more is exactly +5 %.
+constexpr int kBaseReps = 20;
+constexpr int kControlDivisor = 20;
+
+/// A timed workload: `reps` repetitions in one sample, elapsed ms.
+using Workload = std::function<double(int)>;
 
 double run_sample(const sim::ExperimentConfig& config,
-                  obs::Context* observer) {
+                  obs::Context* observer, int reps) {
   sim::SimulationOptions options = config.simulation;
   options.observer = observer;
   double checksum = 0.0;
   const Clock::time_point start = Clock::now();
-  for (int k = 0; k < kInnerRuns; ++k) {
+  for (int k = 0; k < reps; ++k) {
     dpm::PredictiveDpmPolicy dpm_policy = sim::make_dpm_policy(config);
     const std::unique_ptr<core::FcOutputPolicy> fc =
         sim::make_fc_policy(sim::PolicyKind::FcDpm, config);
@@ -65,7 +84,7 @@ double run_sample(const sim::ExperimentConfig& config,
 }
 
 /// Discards everything written: measures serialization without growing
-/// a buffer across the 9 x 40 runs.
+/// a buffer across the runs.
 class DiscardBuffer final : public std::streambuf {
  protected:
   int overflow(int c) override { return c; }
@@ -74,28 +93,82 @@ class DiscardBuffer final : public std::streambuf {
   }
 };
 
-/// Best-of-N over a set of measurement variants, interleaved: each
-/// round samples every variant once before the next round. Measuring
-/// one variant's samples back to back lets slow machine-load drift
-/// bias whichever side runs later; alternating cancels the drift, and
-/// the minimum discards load spikes entirely.
-std::vector<double> best_of_interleaved(
-    const std::vector<std::function<double()>>& variants, int samples) {
-  std::vector<double> best(variants.size(),
-                           std::numeric_limits<double>::infinity());
-  for (int s = 0; s < samples; ++s) {
-    for (std::size_t v = 0; v < variants.size(); ++v) {
-      best[v] = std::min(best[v], variants[v]());
-    }
+/// Runs the whole process, worker threads included, on the CPU it
+/// started on. Unpinned, the sweep workers land on a different vCPU
+/// from sample to sample, and on a shared host vCPUs differ in speed:
+/// paired ratios then spread +-15 %, hiding a 2 % budget.
+void pin_to_one_cpu() {
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(sched_getcpu(), &one);
+  if (sched_setaffinity(0, sizeof one, &one) != 0) {
+    std::perror("sched_setaffinity (measuring unpinned)");
   }
-  return best;
+}
+
+/// Repetitions that make one sample of `work` last at least
+/// kMinSampleMs (the first call also warms caches and the allocator).
+int calibrate(const Workload& work) {
+  int reps = kBaseReps;
+  while (work(reps) < kMinSampleMs) {
+    reps *= 2;
+  }
+  return reps;
+}
+
+/// `work` doing 1/kControlDivisor more repetitions per sample.
+Workload slowed(Workload work) {
+  return [work = std::move(work)](int reps) {
+    return work(reps + reps / kControlDivisor);
+  };
+}
+
+/// Overhead of `variant` over `base`, in percent: the median of
+/// variant/base time over kPairs back-to-back pairs. Pairs alternate
+/// which side runs first, so slow drift in machine load cancels; the
+/// median discards the pairs a load spike hit.
+double overhead_pct(const Workload& base, const Workload& variant,
+                    int reps) {
+  std::vector<double> ratios;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    const bool base_first = pair % 2 == 0;
+    const double first = base_first ? base(reps) : variant(reps);
+    const double second = base_first ? variant(reps) : base(reps);
+    ratios.push_back(base_first ? second / first : first / second);
+  }
+  std::nth_element(ratios.begin(), ratios.begin() + kPairs / 2,
+                   ratios.end());
+  return 100.0 * (ratios[kPairs / 2] - 1.0);
+}
+
+/// One budget gate: `observed` must cost less than kBudgetPct over
+/// `base`, and the negative control (`observed` doing 5 % more work)
+/// must not. Prints both figures; returns false with a FAIL line.
+bool gate(const char* what, const Workload& base, const Workload& observed,
+          int reps) {
+  const double observed_pct = overhead_pct(base, observed, reps);
+  const double control_pct = overhead_pct(base, slowed(observed), reps);
+  std::printf("  %-22s %+8.2f%%  (negative control, +5 %% work: %+.2f%%)\n",
+              what, observed_pct, control_pct);
+  if (observed_pct >= kBudgetPct) {
+    std::fprintf(stderr, "FAIL: %s overhead %.2f%% exceeds the 2%% budget\n",
+                 what, observed_pct);
+    return false;
+  }
+  if (control_pct < kBudgetPct) {
+    std::fprintf(stderr,
+                 "FAIL: %s gate is blind: a 5%% slowdown read %.2f%%, under "
+                 "the 2%% budget\n",
+                 what, control_pct);
+    return false;
+  }
+  std::printf("PASS: %s overhead %.2f%% < 2%%\n", what, observed_pct);
+  return true;
 }
 
 // --- sweep-scale telemetry overhead ---------------------------------
 
 constexpr std::size_t kSweepJobs = 2;
-constexpr int kSweepInner = 8;     // one sample = this many sweeps
-constexpr int kSweepSamples = 40;  // interleaved across the variants
 
 par::SweepGrid sweep_grid() {
   par::SweepGrid grid;
@@ -107,10 +180,10 @@ par::SweepGrid sweep_grid() {
 
 double sweep_sample(const sim::ExperimentConfig& config,
                     const par::SweepGrid& grid,
-                    telemetry::SweepTelemetry* telemetry,
-                    std::size_t jobs = kSweepJobs) {
+                    telemetry::SweepTelemetry* telemetry, std::size_t jobs,
+                    int reps) {
   const Clock::time_point start = Clock::now();
-  for (int k = 0; k < kSweepInner; ++k) {
+  for (int k = 0; k < reps; ++k) {
     par::SweepOptions options;
     options.jobs = jobs;
     options.telemetry = telemetry;
@@ -147,10 +220,8 @@ bool identical_results(const par::SweepResult& a, const par::SweepResult& b) {
 }  // namespace
 
 int main() {
+  pin_to_one_cpu();
   const sim::ExperimentConfig config = sim::experiment1_config();
-
-  // Warm up caches and the allocator before the measured samples.
-  (void)run_sample(config, nullptr);
 
   obs::NullTraceSink null_sink;
   obs::Context null_context(&null_sink, nullptr);
@@ -158,37 +229,34 @@ int main() {
   std::ostream jsonl_out(&discard);
   obs::JsonlTraceSink jsonl_sink(jsonl_out);
   obs::Context jsonl_context(&jsonl_sink, nullptr);
-  const std::vector<double> sim_ms = best_of_interleaved(
-      {[&] { return run_sample(config, nullptr); },
-       [&] { return run_sample(config, &null_context); },
-       [&] { return run_sample(config, &jsonl_context); }},
-      kSamples);
-  const double disabled_ms = sim_ms[0];
-  const double null_sink_ms = sim_ms[1];
-  const double jsonl_ms = sim_ms[2];
+  const Workload disabled = [&](int reps) {
+    return run_sample(config, nullptr, reps);
+  };
+  const Workload null_traced = [&](int reps) {
+    return run_sample(config, &null_context, reps);
+  };
+  const Workload jsonl_traced = [&](int reps) {
+    return run_sample(config, &jsonl_context, reps);
+  };
+  bool pass = true;
 
-  const double per_run = 1.0 / kInnerRuns;
-  const double overhead_pct =
-      100.0 * (null_sink_ms - disabled_ms) / disabled_ms;
-  const double jsonl_pct =
-      100.0 * (jsonl_ms - disabled_ms) / disabled_ms;
-
-  std::printf("tracing overhead (%d x simulate, best of %d samples)\n",
-              kInnerRuns, kSamples);
-  std::printf("  %-22s %8.3f ms/run\n", "disabled (nullptr)",
-              disabled_ms * per_run);
-  std::printf("  %-22s %8.3f ms/run  (%+.2f%%)\n", "null sink",
-              null_sink_ms * per_run, overhead_pct);
-  std::printf("  %-22s %8.3f ms/run  (%+.2f%%)\n", "jsonl sink",
-              jsonl_ms * per_run, jsonl_pct);
-
-  if (overhead_pct >= 2.0) {
-    std::fprintf(stderr,
-                 "FAIL: null-sink overhead %.2f%% exceeds the 2%% budget\n",
-                 overhead_pct);
-    return 1;
-  }
-  std::printf("PASS: null-sink overhead %.2f%% < 2%%\n", overhead_pct);
+  const int sim_reps = calibrate(disabled);
+  const double disabled_ms = disabled(sim_reps);
+  // The JSONL sink is ~100x the disabled run: reported, not gated, from
+  // one sample of its own length.
+  const int jsonl_reps = calibrate(jsonl_traced);
+  const double jsonl_ms = jsonl_traced(jsonl_reps);
+  const double disabled_per_run = disabled_ms / sim_reps;
+  const double jsonl_per_run = jsonl_ms / jsonl_reps;
+  std::printf("tracing overhead (%d x simulate per sample, median of %d "
+              "pairs)\n",
+              sim_reps, kPairs);
+  std::printf("  %-22s %8.4f ms/run\n", "disabled (nullptr)",
+              disabled_per_run);
+  std::printf("  %-22s %8.4f ms/run  (%+.2f%%, info)\n", "jsonl sink",
+              jsonl_per_run,
+              100.0 * (jsonl_per_run - disabled_per_run) / disabled_per_run);
+  pass = gate("null-sink", disabled, null_traced, sim_reps) && pass;
 
   // --- sweep-scale telemetry ----------------------------------------
   const par::SweepGrid grid = sweep_grid();
@@ -213,38 +281,22 @@ int main() {
     }
   }
 
-  (void)sweep_sample(config, grid, nullptr);  // warmup
-
   telemetry::TelemetryConfig tconfig;
   tconfig.workers = par::WorkerPool::resolve(kSweepJobs);
   tconfig.total_points = grid.points(config).size();
   telemetry::SweepTelemetry telemetry(tconfig);
-  const std::vector<double> sweep_ms = best_of_interleaved(
-      {[&] { return sweep_sample(config, grid, nullptr); },
-       [&] { return sweep_sample(config, grid, &telemetry); }},
-      kSweepSamples);
-  const double sweep_off_ms = sweep_ms[0];
-  const double sweep_on_ms = sweep_ms[1];
-
-  const double per_sweep = 1.0 / kSweepInner;
-  const double sweep_pct =
-      100.0 * (sweep_on_ms - sweep_off_ms) / sweep_off_ms;
-  std::printf(
-      "sweep telemetry overhead (%zu-point grid x %d, %zu jobs, best of "
-      "%d)\n",
-      grid.points(config).size(), kSweepInner, kSweepJobs, kSweepSamples);
-  std::printf("  %-22s %8.3f ms/sweep\n", "telemetry off",
-              sweep_off_ms * per_sweep);
-  std::printf("  %-22s %8.3f ms/sweep  (%+.2f%%)\n", "shards, no sampler",
-              sweep_on_ms * per_sweep, sweep_pct);
-  if (sweep_pct >= 2.0) {
-    std::fprintf(stderr,
-                 "FAIL: telemetry shard overhead %.2f%% exceeds the 2%% "
-                 "budget\n",
-                 sweep_pct);
-    return 1;
-  }
-  std::printf("PASS: telemetry shard overhead %.2f%% < 2%%\n", sweep_pct);
+  const Workload telemetry_off = [&](int reps) {
+    return sweep_sample(config, grid, nullptr, kSweepJobs, reps);
+  };
+  const Workload telemetry_on = [&](int reps) {
+    return sweep_sample(config, grid, &telemetry, kSweepJobs, reps);
+  };
+  const int sweep_reps = calibrate(telemetry_off);
+  std::printf("sweep telemetry overhead (%zu-point grid x %d per sample, %zu "
+              "jobs, median of %d pairs)\n",
+              grid.points(config).size(), sweep_reps, kSweepJobs, kPairs);
+  pass = gate("telemetry shard", telemetry_off, telemetry_on, sweep_reps) &&
+         pass;
   std::printf("PASS: sweep results bit-identical with telemetry attached\n");
 
   // --- runtime auditing ---------------------------------------------
@@ -269,37 +321,22 @@ int main() {
   // Audit cost is per-point CPU work, so it is measured single-worker:
   // worker-pool scheduling noise would otherwise dominate the budget on
   // a loaded host (cross-job bit-identity is asserted by the tests).
-  (void)sweep_sample(sampled, grid, nullptr, 1);  // warmup
-  const std::vector<double> audit_ms = best_of_interleaved(
-      {[&] { return sweep_sample(config, grid, nullptr, 1); },
-       [&] { return sweep_sample(sampled, grid, nullptr, 1); },
-       [&] { return sweep_sample(strict, grid, nullptr, 1); }},
-      kSweepSamples);
-  const double audit_off_ms = audit_ms[0];
-  const double audit_sample_ms = audit_ms[1];
-  const double audit_strict_ms = audit_ms[2];
-
-  const double audit_pct =
-      100.0 * (audit_sample_ms - audit_off_ms) / audit_off_ms;
-  const double strict_pct =
-      100.0 * (audit_strict_ms - audit_off_ms) / audit_off_ms;
-  std::printf(
-      "audit overhead (%zu-point grid x %d, 1 job, best of %d)\n",
-      grid.points(config).size(), kSweepInner, kSweepSamples);
-  std::printf("  %-22s %8.3f ms/sweep\n", "audit off",
-              audit_off_ms * per_sweep);
-  std::printf("  %-22s %8.3f ms/sweep  (%+.2f%%)\n", "audit sample",
-              audit_sample_ms * per_sweep, audit_pct);
-  std::printf("  %-22s %8.3f ms/sweep  (%+.2f%%)\n", "audit strict (info)",
-              audit_strict_ms * per_sweep, strict_pct);
-  if (audit_pct >= 2.0) {
-    std::fprintf(stderr,
-                 "FAIL: sample-audit overhead %.2f%% exceeds the 2%% "
-                 "budget\n",
-                 audit_pct);
-    return 1;
-  }
-  std::printf("PASS: sample-audit overhead %.2f%% < 2%%\n", audit_pct);
+  const Workload audit_off = [&](int reps) {
+    return sweep_sample(config, grid, nullptr, 1, reps);
+  };
+  const Workload audit_sample = [&](int reps) {
+    return sweep_sample(sampled, grid, nullptr, 1, reps);
+  };
+  const Workload audit_strict = [&](int reps) {
+    return sweep_sample(strict, grid, nullptr, 1, reps);
+  };
+  const int audit_reps = calibrate(audit_off);
+  std::printf("audit overhead (%zu-point grid x %d per sample, 1 job, "
+              "median of %d pairs)\n",
+              grid.points(config).size(), audit_reps, kPairs);
+  std::printf("  %-22s %+8.2f%%  (info)\n", "audit strict",
+              overhead_pct(audit_off, audit_strict, audit_reps));
+  pass = gate("sample-audit", audit_off, audit_sample, audit_reps) && pass;
   std::printf("PASS: sweep results bit-identical with strict audit on\n");
-  return 0;
+  return pass ? 0 : 1;
 }
