@@ -16,16 +16,19 @@
 // exit-1 gate; strict mode is reported for information only. Bit
 // identity between audited and unaudited sweeps is asserted first.
 //
-// Method. One simulate() or sweep lasts 0.03-0.3 ms, below a shared
-// host's scheduling noise, so a timed sample repeats it until the
-// sample lasts at least 20 ms, and the process runs pinned to one CPU.
-// A gate compares baseline and observed variant in back-to-back pairs,
-// alternating which runs first, and takes the median of the pairs'
-// observed/baseline time ratios. Every gate also times a negative
-// control: the observed variant doing 5 % more work. The control must
-// exceed the budget; when it does not, the measurement cannot see a
-// 5 % slowdown, let alone a 2 % one, and the bench exits 1 instead of
-// passing blind.
+// Method. One simulate() or sweep lasts 0.03-0.3 ms, and on a shared
+// host two back-to-back 20 ms stretches of the same work differ by
+// several percent, so a gate never times one variant's block against
+// the other's. A pair interleaves the baseline and the observed variant
+// run by run, alternating which goes first, and times every run on its
+// own; the pair lasts until each side has summed at least 20 ms, and
+// its ratio is observed/baseline total time. Load that changes over
+// milliseconds then hits both sides alike. A gate takes the median of
+// the pairs' ratios, and the process runs pinned to one CPU. Every
+// gate also times a negative control: the observed variant doing 5 %
+// more work. The control must exceed the budget; when it does not, the
+// measurement cannot see a 5 % slowdown, let alone a 2 % one, and the
+// bench exits 1 instead of passing blind.
 #include <sched.h>
 
 #include <algorithm>
@@ -35,6 +38,7 @@
 #include <memory>
 #include <ostream>
 #include <streambuf>
+#include <utility>
 #include <vector>
 
 #include "audit/audit.hpp"
@@ -51,36 +55,38 @@ using namespace fcdpm;
 using Clock = std::chrono::steady_clock;
 
 constexpr double kBudgetPct = 2.0;
-constexpr double kMinSampleMs = 20.0;  // shortest timed sample
+constexpr double kMinSampleMs = 20.0;  // least time per side of a pair
 constexpr int kPairs = 41;             // timed pairs per comparison
-// Repetition counts are 20 * 2^k, so reps / 20 more is exactly +5 %.
-constexpr int kBaseReps = 20;
+// Run counts are 20 * 2^k, so one extra run in every 20 is exactly +5 %.
+constexpr int kBaseRuns = 20;
 constexpr int kControlDivisor = 20;
 
-/// A timed workload: `reps` repetitions in one sample, elapsed ms.
-using Workload = std::function<double(int)>;
+// Every run stores a result here: defeats dead-code elimination without
+// perturbing the timing.
+volatile double sink_value;
 
-double run_sample(const sim::ExperimentConfig& config,
-                  obs::Context* observer, int reps) {
-  sim::SimulationOptions options = config.simulation;
-  options.observer = observer;
-  double checksum = 0.0;
+/// One run of a measured operation: a simulate() or a run_sweep().
+using Run = std::function<void()>;
+
+double time_ms(const Run& run) {
   const Clock::time_point start = Clock::now();
-  for (int k = 0; k < reps; ++k) {
-    dpm::PredictiveDpmPolicy dpm_policy = sim::make_dpm_policy(config);
-    const std::unique_ptr<core::FcOutputPolicy> fc =
-        sim::make_fc_policy(sim::PolicyKind::FcDpm, config);
-    power::HybridPowerSource hybrid = sim::make_hybrid(config);
-    const sim::SimulationResult r =
-        sim::simulate(config.trace, dpm_policy, *fc, hybrid, options);
-    checksum += r.fuel().value();
-  }
+  run();
   const std::chrono::duration<double, std::milli> elapsed =
       Clock::now() - start;
-  // Defeat dead-code elimination without perturbing the timing.
-  static volatile double sink_value;
-  sink_value = checksum;
   return elapsed.count();
+}
+
+void simulate_once(const sim::ExperimentConfig& config,
+                   obs::Context* observer) {
+  sim::SimulationOptions options = config.simulation;
+  options.observer = observer;
+  dpm::PredictiveDpmPolicy dpm_policy = sim::make_dpm_policy(config);
+  const std::unique_ptr<core::FcOutputPolicy> fc =
+      sim::make_fc_policy(sim::PolicyKind::FcDpm, config);
+  power::HybridPowerSource hybrid = sim::make_hybrid(config);
+  const sim::SimulationResult r =
+      sim::simulate(config.trace, dpm_policy, *fc, hybrid, options);
+  sink_value = r.fuel().value();
 }
 
 /// Discards everything written: measures serialization without growing
@@ -95,8 +101,7 @@ class DiscardBuffer final : public std::streambuf {
 
 /// Runs the whole process, worker threads included, on the CPU it
 /// started on. Unpinned, the sweep workers land on a different vCPU
-/// from sample to sample, and on a shared host vCPUs differ in speed:
-/// paired ratios then spread +-15 %, hiding a 2 % budget.
+/// from run to run, and on a shared host vCPUs differ in speed.
 void pin_to_one_cpu() {
   cpu_set_t one;
   CPU_ZERO(&one);
@@ -106,35 +111,51 @@ void pin_to_one_cpu() {
   }
 }
 
-/// Repetitions that make one sample of `work` last at least
-/// kMinSampleMs (the first call also warms caches and the allocator).
-int calibrate(const Workload& work) {
-  int reps = kBaseReps;
-  while (work(reps) < kMinSampleMs) {
-    reps *= 2;
+/// Runs of `run` that sum to at least kMinSampleMs (the first pass also
+/// warms caches and the allocator), and the time they took.
+std::pair<int, double> calibrate(const Run& run) {
+  for (int runs = kBaseRuns;; runs *= 2) {
+    double total_ms = 0.0;
+    for (int k = 0; k < runs; ++k) {
+      total_ms += time_ms(run);
+    }
+    if (total_ms >= kMinSampleMs) {
+      return {runs, total_ms};
+    }
   }
-  return reps;
 }
 
-/// `work` doing 1/kControlDivisor more repetitions per sample.
-Workload slowed(Workload work) {
-  return [work = std::move(work)](int reps) {
-    return work(reps + reps / kControlDivisor);
-  };
+/// One pair: `runs` runs each of `base` and `variant`, interleaved run
+/// by run and alternating which goes first. With `control`, `variant`
+/// runs once more every kControlDivisor runs (5 % more work). Returns
+/// variant/base total time.
+double pair_ratio(const Run& base, const Run& variant, int runs,
+                  bool control) {
+  double base_ms = 0.0;
+  double variant_ms = 0.0;
+  for (int k = 0; k < runs; ++k) {
+    if (k % 2 == 0) {
+      base_ms += time_ms(base);
+      variant_ms += time_ms(variant);
+    } else {
+      variant_ms += time_ms(variant);
+      base_ms += time_ms(base);
+    }
+    if (control && k % kControlDivisor == 0) {
+      variant_ms += time_ms(variant);
+    }
+  }
+  return variant_ms / base_ms;
 }
 
-/// Overhead of `variant` over `base`, in percent: the median of
-/// variant/base time over kPairs back-to-back pairs. Pairs alternate
-/// which side runs first, so slow drift in machine load cancels; the
-/// median discards the pairs a load spike hit.
-double overhead_pct(const Workload& base, const Workload& variant,
-                    int reps) {
+/// Overhead of `variant` over `base`, in percent: the median of the
+/// pair ratios over kPairs pairs; the median discards the pairs a load
+/// spike hit.
+double overhead_pct(const Run& base, const Run& variant, int runs,
+                    bool control = false) {
   std::vector<double> ratios;
   for (int pair = 0; pair < kPairs; ++pair) {
-    const bool base_first = pair % 2 == 0;
-    const double first = base_first ? base(reps) : variant(reps);
-    const double second = base_first ? variant(reps) : base(reps);
-    ratios.push_back(base_first ? second / first : first / second);
+    ratios.push_back(pair_ratio(base, variant, runs, control));
   }
   std::nth_element(ratios.begin(), ratios.begin() + kPairs / 2,
                    ratios.end());
@@ -144,10 +165,10 @@ double overhead_pct(const Workload& base, const Workload& variant,
 /// One budget gate: `observed` must cost less than kBudgetPct over
 /// `base`, and the negative control (`observed` doing 5 % more work)
 /// must not. Prints both figures; returns false with a FAIL line.
-bool gate(const char* what, const Workload& base, const Workload& observed,
-          int reps) {
-  const double observed_pct = overhead_pct(base, observed, reps);
-  const double control_pct = overhead_pct(base, slowed(observed), reps);
+bool gate(const char* what, const Run& base, const Run& observed,
+          int runs) {
+  const double observed_pct = overhead_pct(base, observed, runs);
+  const double control_pct = overhead_pct(base, observed, runs, true);
   std::printf("  %-22s %+8.2f%%  (negative control, +5 %% work: %+.2f%%)\n",
               what, observed_pct, control_pct);
   if (observed_pct >= kBudgetPct) {
@@ -178,22 +199,14 @@ par::SweepGrid sweep_grid() {
   return grid;
 }
 
-double sweep_sample(const sim::ExperimentConfig& config,
-                    const par::SweepGrid& grid,
-                    telemetry::SweepTelemetry* telemetry, std::size_t jobs,
-                    int reps) {
-  const Clock::time_point start = Clock::now();
-  for (int k = 0; k < reps; ++k) {
-    par::SweepOptions options;
-    options.jobs = jobs;
-    options.telemetry = telemetry;
-    const par::SweepResult result = par::run_sweep(config, grid, options);
-    static volatile std::size_t sink_value;
-    sink_value = result.points.size();
-  }
-  const std::chrono::duration<double, std::milli> elapsed =
-      Clock::now() - start;
-  return elapsed.count();
+void sweep_once(const sim::ExperimentConfig& config,
+                const par::SweepGrid& grid,
+                telemetry::SweepTelemetry* telemetry, std::size_t jobs) {
+  par::SweepOptions options;
+  options.jobs = jobs;
+  options.telemetry = telemetry;
+  const par::SweepResult result = par::run_sweep(config, grid, options);
+  sink_value = static_cast<double>(result.points.size());
 }
 
 /// Bitwise equality of every per-point result field the reports carry.
@@ -229,34 +242,26 @@ int main() {
   std::ostream jsonl_out(&discard);
   obs::JsonlTraceSink jsonl_sink(jsonl_out);
   obs::Context jsonl_context(&jsonl_sink, nullptr);
-  const Workload disabled = [&](int reps) {
-    return run_sample(config, nullptr, reps);
-  };
-  const Workload null_traced = [&](int reps) {
-    return run_sample(config, &null_context, reps);
-  };
-  const Workload jsonl_traced = [&](int reps) {
-    return run_sample(config, &jsonl_context, reps);
-  };
+  const Run disabled = [&] { simulate_once(config, nullptr); };
+  const Run null_traced = [&] { simulate_once(config, &null_context); };
+  const Run jsonl_traced = [&] { simulate_once(config, &jsonl_context); };
   bool pass = true;
 
-  const int sim_reps = calibrate(disabled);
-  const double disabled_ms = disabled(sim_reps);
+  const auto [sim_runs, disabled_ms] = calibrate(disabled);
   // The JSONL sink is ~100x the disabled run: reported, not gated, from
   // one sample of its own length.
-  const int jsonl_reps = calibrate(jsonl_traced);
-  const double jsonl_ms = jsonl_traced(jsonl_reps);
-  const double disabled_per_run = disabled_ms / sim_reps;
-  const double jsonl_per_run = jsonl_ms / jsonl_reps;
-  std::printf("tracing overhead (%d x simulate per sample, median of %d "
+  const auto [jsonl_runs, jsonl_ms] = calibrate(jsonl_traced);
+  const double disabled_per_run = disabled_ms / sim_runs;
+  const double jsonl_per_run = jsonl_ms / jsonl_runs;
+  std::printf("tracing overhead (%d x simulate per side, median of %d "
               "pairs)\n",
-              sim_reps, kPairs);
+              sim_runs, kPairs);
   std::printf("  %-22s %8.4f ms/run\n", "disabled (nullptr)",
               disabled_per_run);
   std::printf("  %-22s %8.4f ms/run  (%+.2f%%, info)\n", "jsonl sink",
               jsonl_per_run,
               100.0 * (jsonl_per_run - disabled_per_run) / disabled_per_run);
-  pass = gate("null-sink", disabled, null_traced, sim_reps) && pass;
+  pass = gate("null-sink", disabled, null_traced, sim_runs) && pass;
 
   // --- sweep-scale telemetry ----------------------------------------
   const par::SweepGrid grid = sweep_grid();
@@ -285,17 +290,17 @@ int main() {
   tconfig.workers = par::WorkerPool::resolve(kSweepJobs);
   tconfig.total_points = grid.points(config).size();
   telemetry::SweepTelemetry telemetry(tconfig);
-  const Workload telemetry_off = [&](int reps) {
-    return sweep_sample(config, grid, nullptr, kSweepJobs, reps);
+  const Run telemetry_off = [&] {
+    sweep_once(config, grid, nullptr, kSweepJobs);
   };
-  const Workload telemetry_on = [&](int reps) {
-    return sweep_sample(config, grid, &telemetry, kSweepJobs, reps);
+  const Run telemetry_on = [&] {
+    sweep_once(config, grid, &telemetry, kSweepJobs);
   };
-  const int sweep_reps = calibrate(telemetry_off);
-  std::printf("sweep telemetry overhead (%zu-point grid x %d per sample, %zu "
+  const int sweep_runs = calibrate(telemetry_off).first;
+  std::printf("sweep telemetry overhead (%zu-point grid x %d per side, %zu "
               "jobs, median of %d pairs)\n",
-              grid.points(config).size(), sweep_reps, kSweepJobs, kPairs);
-  pass = gate("telemetry shard", telemetry_off, telemetry_on, sweep_reps) &&
+              grid.points(config).size(), sweep_runs, kSweepJobs, kPairs);
+  pass = gate("telemetry shard", telemetry_off, telemetry_on, sweep_runs) &&
          pass;
   std::printf("PASS: sweep results bit-identical with telemetry attached\n");
 
@@ -321,22 +326,16 @@ int main() {
   // Audit cost is per-point CPU work, so it is measured single-worker:
   // worker-pool scheduling noise would otherwise dominate the budget on
   // a loaded host (cross-job bit-identity is asserted by the tests).
-  const Workload audit_off = [&](int reps) {
-    return sweep_sample(config, grid, nullptr, 1, reps);
-  };
-  const Workload audit_sample = [&](int reps) {
-    return sweep_sample(sampled, grid, nullptr, 1, reps);
-  };
-  const Workload audit_strict = [&](int reps) {
-    return sweep_sample(strict, grid, nullptr, 1, reps);
-  };
-  const int audit_reps = calibrate(audit_off);
-  std::printf("audit overhead (%zu-point grid x %d per sample, 1 job, "
+  const Run audit_off = [&] { sweep_once(config, grid, nullptr, 1); };
+  const Run audit_sample = [&] { sweep_once(sampled, grid, nullptr, 1); };
+  const Run audit_strict = [&] { sweep_once(strict, grid, nullptr, 1); };
+  const int audit_runs = calibrate(audit_off).first;
+  std::printf("audit overhead (%zu-point grid x %d per side, 1 job, "
               "median of %d pairs)\n",
-              grid.points(config).size(), audit_reps, kPairs);
+              grid.points(config).size(), audit_runs, kPairs);
   std::printf("  %-22s %+8.2f%%  (info)\n", "audit strict",
-              overhead_pct(audit_off, audit_strict, audit_reps));
-  pass = gate("sample-audit", audit_off, audit_sample, audit_reps) && pass;
+              overhead_pct(audit_off, audit_strict, audit_runs));
+  pass = gate("sample-audit", audit_off, audit_sample, audit_runs) && pass;
   std::printf("PASS: sweep results bit-identical with strict audit on\n");
   return pass ? 0 : 1;
 }
