@@ -24,7 +24,10 @@
 // own; the pair lasts until each side has summed at least 20 ms, and
 // its ratio is observed/baseline total time. Load that changes over
 // milliseconds then hits both sides alike. A gate takes the median of
-// the pairs' ratios, and the process runs pinned to one CPU. Every
+// the pairs' ratios. The single-threaded gates run pinned to one CPU;
+// the telemetry gate runs on kSweepJobs CPUs, so its workers still
+// write their shards at the same time and a shard sharing a cache line
+// with another still costs what it would in a sweep. Every
 // gate also times a negative control: the observed variant doing 5 %
 // more work. The control must exceed the budget; when it does not, the
 // measurement cannot see a 5 % slowdown, let alone a 2 % one, and the
@@ -36,6 +39,7 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <streambuf>
 #include <utility>
@@ -99,17 +103,46 @@ class DiscardBuffer final : public std::streambuf {
   }
 };
 
-/// Runs the whole process, worker threads included, on the CPU it
-/// started on. Unpinned, the sweep workers land on a different vCPU
-/// from run to run, and on a shared host vCPUs differ in speed.
-void pin_to_one_cpu() {
-  cpu_set_t one;
-  CPU_ZERO(&one);
-  CPU_SET(sched_getcpu(), &one);
-  if (sched_setaffinity(0, sizeof one, &one) != 0) {
-    std::perror("sched_setaffinity (measuring unpinned)");
+/// While alive, restricts the calling thread, and every thread it
+/// starts (the sweep workers), to `cpus` of the CPUs it may run on,
+/// starting with the one it is on. Unpinned, the workers land on
+/// different vCPUs from run to run, and on a shared host vCPUs differ
+/// in speed.
+class Pinned {
+ public:
+  explicit Pinned(std::size_t cpus) {
+    if (sched_getaffinity(0, sizeof allowed_, &allowed_) != 0) {
+      std::perror("sched_getaffinity (measuring unpinned)");
+      return;
+    }
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    const int here = sched_getcpu();
+    CPU_SET(here, &mask);
+    for (int cpu = 0;
+         cpu < CPU_SETSIZE && static_cast<std::size_t>(CPU_COUNT(&mask)) < cpus;
+         ++cpu) {
+      if (CPU_ISSET(cpu, &allowed_)) {
+        CPU_SET(cpu, &mask);
+      }
+    }
+    pinned_ = sched_setaffinity(0, sizeof mask, &mask) == 0;
+    if (!pinned_) {
+      std::perror("sched_setaffinity (measuring unpinned)");
+    }
   }
-}
+  ~Pinned() {
+    if (pinned_) {
+      sched_setaffinity(0, sizeof allowed_, &allowed_);
+    }
+  }
+  Pinned(const Pinned&) = delete;
+  Pinned& operator=(const Pinned&) = delete;
+
+ private:
+  cpu_set_t allowed_;
+  bool pinned_ = false;
+};
 
 /// Runs of `run` that sum to at least kMinSampleMs (the first pass also
 /// warms caches and the allocator), and the time they took.
@@ -233,7 +266,6 @@ bool identical_results(const par::SweepResult& a, const par::SweepResult& b) {
 }  // namespace
 
 int main() {
-  pin_to_one_cpu();
   const sim::ExperimentConfig config = sim::experiment1_config();
 
   obs::NullTraceSink null_sink;
@@ -247,6 +279,7 @@ int main() {
   const Run jsonl_traced = [&] { simulate_once(config, &jsonl_context); };
   bool pass = true;
 
+  std::optional<Pinned> pinned(std::in_place, 1);
   const auto [sim_runs, disabled_ms] = calibrate(disabled);
   // The JSONL sink is ~100x the disabled run: reported, not gated, from
   // one sample of its own length.
@@ -296,6 +329,7 @@ int main() {
   const Run telemetry_on = [&] {
     sweep_once(config, grid, &telemetry, kSweepJobs);
   };
+  pinned.emplace(kSweepJobs);  // both workers run side by side
   const int sweep_runs = calibrate(telemetry_off).first;
   std::printf("sweep telemetry overhead (%zu-point grid x %d per side, %zu "
               "jobs, median of %d pairs)\n",
@@ -329,6 +363,7 @@ int main() {
   const Run audit_off = [&] { sweep_once(config, grid, nullptr, 1); };
   const Run audit_sample = [&] { sweep_once(sampled, grid, nullptr, 1); };
   const Run audit_strict = [&] { sweep_once(strict, grid, nullptr, 1); };
+  pinned.emplace(1);
   const int audit_runs = calibrate(audit_off).first;
   std::printf("audit overhead (%zu-point grid x %d per side, 1 job, "
               "median of %d pairs)\n",
