@@ -1,6 +1,7 @@
 // String utilities shared by the CSV layer and report renderers.
 #pragma once
 
+#include <charconv>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,6 +30,13 @@ void append_general(std::string& out, double value, int precision);
 /// append_fixed: "%.*f" with trailing-zero trimming ("1.30" -> "1.3",
 /// "2.00" -> "2") and "-0" written as "0"; `max_decimals` is 0-17.
 void append_fixed(std::string& out, double value, int max_decimals);
+
+/// append_integer: the decimal digits of `value`, as "%d" prints them.
+template <typename Integer>
+void append_integer(std::string& out, Integer value) {
+  char buffer[24];
+  out.append(buffer, std::to_chars(buffer, buffer + sizeof buffer, value).ptr);
+}
 
 /// String forms of the above (format_fixed is used for table cells).
 [[nodiscard]] std::string format_general(double value, int precision);

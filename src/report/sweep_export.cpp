@@ -1,8 +1,7 @@
 #include "report/sweep_export.hpp"
 
-#include <charconv>
-
 #include "common/atomic_file.hpp"
+#include "common/sweep_counters.hpp"
 #include "common/text.hpp"
 #include "obs/trace_sink.hpp"
 
@@ -29,8 +28,7 @@ void rounded(std::string& out, const char* key, double value) {
 template <typename Integer>
 void integer(std::string& out, const char* key, Integer value) {
   out += key;
-  char buffer[24];
-  out.append(buffer, std::to_chars(buffer, buffer + sizeof buffer, value).ptr);
+  append_integer(out, value);
 }
 
 void flag(std::string& out, const char* key, bool value) {
@@ -113,31 +111,9 @@ void append_resilience(std::string& out, const SweepResilienceReport& r) {
   out += '}';
 }
 
-/// The counters a telemetry snapshot and each of its workers share;
-/// `key` opens the object with the first of them.
-template <typename Counters>
-void append_counters(std::string& out, const char* key, std::uint64_t first,
-                     const Counters& c) {
-  integer(out, key, first);
-  integer(out, ",\"done\":", c.done);
-  integer(out, ",\"retried\":", c.retried);
-  integer(out, ",\"quarantined\":", c.quarantined);
-  integer(out, ",\"reference_dispatches\":", c.reference_dispatches);
-  integer(out, ",\"batched_dispatches\":", c.batched_dispatches);
-  integer(out, ",\"heartbeats\":", c.heartbeats);
-  integer(out, ",\"slots\":", c.slots);
-  if (c.capped_slots > 0) {
-    integer(out, ",\"capped_slots\":", c.capped_slots);
-  }
-  if (c.audited_slots > 0) {
-    integer(out, ",\"audited_slots\":", c.audited_slots);
-    integer(out, ",\"audit_violations\":", c.audit_violations);
-    integer(out, ",\"engine_fallbacks\":", c.engine_fallbacks);
-  }
-}
-
 void append_telemetry(std::string& out, const TelemetryReport& t) {
-  append_counters(out, ",\"telemetry\":{\"snapshots\":", t.snapshots, t);
+  integer(out, ",\"telemetry\":{\"snapshots\":", t.snapshots);
+  append_sweep_counters(out, t);
   rounded(out, ",\"points_per_s\":", t.throughput_points_per_s);
   rounded(out, ",\"wall_p50_us\":", t.wall_p50_us);
   rounded(out, ",\"wall_p95_us\":", t.wall_p95_us);
@@ -147,8 +123,8 @@ void append_telemetry(std::string& out, const TelemetryReport& t) {
   out += ",\"workers\":[";
   for (std::size_t k = 0; k < t.workers.size(); ++k) {
     const TelemetryWorkerRow& w = t.workers[k];
-    append_counters(out, k == 0 ? "{\"worker\":" : ",{\"worker\":", w.worker,
-                    w);
+    integer(out, k == 0 ? "{\"worker\":" : ",{\"worker\":", w.worker);
+    append_sweep_counters(out, w);
     rounded(out, ",\"busy_s\":", w.busy_seconds);
     out += '}';
   }

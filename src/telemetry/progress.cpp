@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "common/sweep_counters.hpp"
 #include "common/text.hpp"
 
 namespace fcdpm::telemetry {
@@ -14,30 +15,6 @@ std::string fmt1(double value) {
   return buffer;
 }
 
-/// The counters a snapshot and each of its workers share, in stream
-/// order. capped_slots and the audit counters are emitted only once
-/// capping / auditing is live, so cap-off and audit-off streams keep
-/// their bytes.
-template <typename Counters>
-void append_counters(std::string& out, const Counters& c) {
-  out += ",\"done\":" + std::to_string(c.done);
-  out += ",\"retried\":" + std::to_string(c.retried);
-  out += ",\"quarantined\":" + std::to_string(c.quarantined);
-  out += ",\"reference_dispatches\":" +
-         std::to_string(c.reference_dispatches);
-  out += ",\"batched_dispatches\":" + std::to_string(c.batched_dispatches);
-  out += ",\"heartbeats\":" + std::to_string(c.heartbeats);
-  out += ",\"slots\":" + std::to_string(c.slots);
-  if (c.capped_slots > 0) {
-    out += ",\"capped_slots\":" + std::to_string(c.capped_slots);
-  }
-  if (c.audited_slots > 0) {
-    out += ",\"audited_slots\":" + std::to_string(c.audited_slots);
-    out += ",\"audit_violations\":" + std::to_string(c.audit_violations);
-    out += ",\"engine_fallbacks\":" + std::to_string(c.engine_fallbacks);
-  }
-}
-
 }  // namespace
 
 std::string snapshot_to_json(const SweepSnapshot& snap) {
@@ -45,7 +22,7 @@ std::string snapshot_to_json(const SweepSnapshot& snap) {
   out += ",\"seq\":" + std::to_string(snap.seq);
   out += ",\"elapsed_s\":" + format_general(snap.elapsed_seconds, 12);
   out += ",\"total_points\":" + std::to_string(snap.total_points);
-  append_counters(out, snap);
+  append_sweep_counters(out, snap);
   out += ",\"points_per_s\":" +
          format_general(snap.throughput_points_per_s, 12);
   out += ",\"eta_s\":" + format_general(snap.eta_seconds, 12);
@@ -65,7 +42,7 @@ std::string snapshot_to_json(const SweepSnapshot& snap) {
       out += ',';
     }
     out += "{\"worker\":" + std::to_string(w.worker);
-    append_counters(out, w);
+    append_sweep_counters(out, w);
     out += ",\"busy_s\":" + format_general(w.busy_seconds, 12) + "}";
   }
   out += "]}";
